@@ -10,8 +10,8 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import dataclass
 from importlib.resources import files
+from types import SimpleNamespace
 
 from .estimators import (
     ContingencyCounts,
@@ -28,12 +28,8 @@ from .variance import naive_variance_estimate
 
 SCENARIO_COLUMNS = ("p1", "p2", "fnr", "fpr", "f")
 SCENARIO_OPTIONAL = ("iterations", "seed")
-RESULT_COLUMNS = (
-    "p1",
-    "p2",
-    "fnr",
-    "fpr",
-    "f",
+# Result table: the scenario key, then metrics in percent, then exclusions.
+METRIC_COLUMNS = (
     "erb_dse",
     "erb_uncorrected",
     "erb_corrected",
@@ -41,31 +37,12 @@ RESULT_COLUMNS = (
     "erse_uncorrected",
     "erse_corrected",
     "arse_corrected",
-    "exclusions",
 )
+RESULT_COLUMNS = SCENARIO_COLUMNS + METRIC_COLUMNS + ("exclusions",)
 
 
 class ScenarioFileError(ValueError):
     """Malformed scenario file; the message carries the offending row."""
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One output-table row: scenario key plus metrics in percent."""
-
-    p1: float
-    p2: float
-    fnr: float
-    fpr: float
-    f: float
-    erb_dse: float | None
-    erb_uncorrected: float | None
-    erb_corrected: float | None
-    erse_dse: float | None
-    erse_uncorrected: float | None
-    erse_corrected: float | None
-    arse_corrected: float | None
-    exclusions: int
 
 
 def bundled_scenario_path() -> str:
@@ -152,72 +129,55 @@ def load_rematch_codes(path: str) -> list[int]:
     return codes
 
 
-def summary_to_row(summary: SimulationSummary) -> ResultRow:
+def summary_to_row(summary: SimulationSummary) -> SimpleNamespace:
+    """One result-table row: an object with one attribute per
+    ``RESULT_COLUMNS`` entry."""
     cfg = summary.config
-    return ResultRow(
-        p1=cfg.p1plus,
-        p2=cfg.pplus1,
-        fnr=cfg.fnr,
-        fpr=cfg.fpr,
-        f=cfg.f,
-        erb_dse=summary.dse.erb_pct,
-        erb_uncorrected=summary.uncorrected.erb_pct,
-        erb_corrected=summary.corrected.erb_pct,
-        erse_dse=summary.dse.erse_pct,
-        erse_uncorrected=summary.uncorrected.erse_pct,
-        erse_corrected=summary.corrected.erse_pct,
-        arse_corrected=summary.arse_pct,
-        exclusions=summary.exclusions,
+    stats = (summary.dse, summary.uncorrected, summary.corrected)
+    values = (
+        cfg.p1plus,
+        cfg.pplus1,
+        cfg.fnr,
+        cfg.fpr,
+        cfg.f,
+        *(s.erb_pct for s in stats),
+        *(s.erse_pct for s in stats),
+        summary.arse_pct,
+        summary.exclusions,
     )
+    return SimpleNamespace(**dict(zip(RESULT_COLUMNS, values, strict=True)))
 
 
-def render_csv(rows: list[ResultRow], seed: int, precision: int = 2) -> str:
-    """Serialize the results table; metric columns use ``precision``
-    decimals, key columns keep their exact shortest representation."""
+def _cells(row, precision: int) -> list[str]:
+    """Format one row: key columns and exclusions in their exact shortest
+    representation, metrics with ``precision`` decimals or NA if undefined."""
+    cells = [str(getattr(row, column)) for column in SCENARIO_COLUMNS]
+    for column in METRIC_COLUMNS:
+        value = getattr(row, column)
+        cells.append("NA" if value is None else f"{value:.{precision}f}")
+    cells.append(str(row.exclusions))
+    return cells
+
+
+def render_csv(rows: list, seed: int, precision: int = 2) -> str:
+    """Serialize the results table; ``rows`` are objects with one attribute
+    per ``RESULT_COLUMNS`` entry. Metric columns use ``precision``
+    decimals."""
     out = io.StringIO()
     out.write(f"# seed={seed}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
     for row in rows:
-        writer.writerow(
-            [str(row.p1), str(row.p2), str(row.fnr), str(row.fpr), str(row.f)]
-            + [
-                "NA" if v is None else f"{v:.{precision}f}"
-                for v in (
-                    row.erb_dse,
-                    row.erb_uncorrected,
-                    row.erb_corrected,
-                    row.erse_dse,
-                    row.erse_uncorrected,
-                    row.erse_corrected,
-                    row.arse_corrected,
-                )
-            ]
-            + [str(row.exclusions)]
-        )
+        writer.writerow(_cells(row, precision))
     return out.getvalue()
 
 
-def render_markdown(rows: list[ResultRow], seed: int) -> str:
+def render_markdown(rows: list, seed: int) -> str:
     lines = [f"seed = {seed}", ""]
     lines.append("| " + " | ".join(RESULT_COLUMNS) + " |")
     lines.append("|" + "|".join([" --- "] * len(RESULT_COLUMNS)) + "|")
     for row in rows:
-        cells = [str(row.p1), str(row.p2), str(row.fnr), str(row.fpr), str(row.f)]
-        cells += [
-            "NA" if v is None else f"{v:.2f}"
-            for v in (
-                row.erb_dse,
-                row.erb_uncorrected,
-                row.erb_corrected,
-                row.erse_dse,
-                row.erse_uncorrected,
-                row.erse_corrected,
-                row.arse_corrected,
-            )
-        ]
-        cells.append(str(row.exclusions))
-        lines.append("| " + " | ".join(cells) + " |")
+        lines.append("| " + " | ".join(_cells(row, 2)) + " |")
     return "\n".join(lines) + "\n"
 
 
@@ -247,10 +207,23 @@ def parse_results_csv(text: str) -> tuple[int | None, list[dict]]:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="\n", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    """Replace ``path`` by way of a uniquely named temp file beside it, so
+    readers never see a partial table. The temp file is removed on any
+    failure, and an OSError names ``path``. Exclusive creation, unlike
+    ``tempfile.mkstemp``, keeps the default umask-based permissions."""
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    pending = False
+    try:
+        with open(tmp, "x", newline="\n", encoding="utf-8") as handle:
+            pending = True
+            handle.write(text)
+        os.replace(tmp, path)
+        pending = False
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    finally:
+        if pending:
+            os.remove(tmp)
 
 
 def cmd_estimate(args) -> int:
@@ -409,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=_default_threads(),
-        help="worker threads (env DSE_LINK_THREADS as fallback); results do not depend on it",
+        help="accepted for compatibility, must be >= 1; changes neither output nor "
+        "speed (env DSE_LINK_THREADS as fallback)",
     )
     sim.add_argument("--format", choices=("csv", "markdown"), default="csv")
     sim.add_argument("--output", metavar="PATH", help="write the table here instead of stdout")
@@ -434,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
+    if getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 1
     return args.func(args)

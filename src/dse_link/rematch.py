@@ -133,13 +133,6 @@ def ht_nu(sample: RematchSample) -> NuEstimate:
     estimated variance n1plus**2 * (1 - f) / n_r * s2_y. A census rematch
     (n_r = n1plus) has zero variance exactly.
     """
-    if sample.n_r < 2:
-        raise SampleTooSmall(f"rematch sample has {sample.n_r} records, need >= 2")
-    if sample.n_r > sample.n1plus:
-        raise SampleExceedsFrame(
-            f"rematch sample of {sample.n_r} exceeds the source-1 frame "
-            f"of {sample.n1plus}"
-        )
     total = int(sample.outcomes.sum())
     nu_hat = sample.n1plus / sample.n_r * total
     sigma2 = float(srswor_total_variance(sample.n1plus, sample.n_r, sample.s2_y))

@@ -4,14 +4,17 @@ Each iteration generates a closed population captured independently by
 two sources, injects synthetic linkage errors at fixed record-level
 rates, draws a without-replacement rematch sample from source 1, and
 computes three estimators plus the plug-in variance of the corrected
-one. Per-iteration randomness is a pure function of (seed, iteration
-index), so results are identical for any worker count.
+one. Each iteration draws from its own child stream of the seed, keyed
+by iteration index, so results are a pure function of the config.
+
+Iterations run serially. They are about a hundred microseconds of small
+numpy calls that hold the GIL, so a thread pool made runs slower, not
+faster; ``threads`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,7 +190,8 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     any estimator's precondition fails are excluded from every aggregate
     and counted.
 
-    Results depend only on the config (bit-identical for any ``threads``).
+    Results depend only on the config. ``threads`` is accepted for
+    compatibility and changes neither the output nor the speed.
     """
     R = config.iterations
     children = np.random.SeedSequence(config.seed).spawn(R)
@@ -197,37 +201,24 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     var_corrected = np.full(R, np.nan)
     ok = np.zeros(R, dtype=bool)
 
-    def run_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            rng = np.random.default_rng(children[i])
-            try:
-                state = generate_population(config, rng)
-                state = inject_linkage_errors(state, config.fnr, config.fpr, rng)
-                sample = draw_rematch(state, config.f, rng)
-                nu = ht_nu(sample)
-                e_true = dse(state.counts_true).n_hat
-                e_uncorrected = dse(state.counts_star).n_hat
-                e_corrected = naive_corrected(state.counts_star, nu.nu_hat).n_hat
-                v_corrected = naive_variance_estimate(e_corrected, state.counts_star, nu)
-            except EstimationError:
-                continue
-            est_true[i] = e_true
-            est_uncorrected[i] = e_uncorrected
-            est_corrected[i] = e_corrected
-            var_corrected[i] = v_corrected
-            ok[i] = True
-
-    if threads <= 1:
-        run_range(0, R)
-    else:
-        bounds = [R * k // threads for k in range(threads + 1)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(run_range, bounds[k], bounds[k + 1])
-                for k in range(threads)
-            ]
-            for future in futures:
-                future.result()
+    for i in range(R):
+        rng = np.random.default_rng(children[i])
+        try:
+            state = generate_population(config, rng)
+            state = inject_linkage_errors(state, config.fnr, config.fpr, rng)
+            sample = draw_rematch(state, config.f, rng)
+            nu = ht_nu(sample)
+            e_true = dse(state.counts_true).n_hat
+            e_uncorrected = dse(state.counts_star).n_hat
+            e_corrected = naive_corrected(state.counts_star, nu.nu_hat).n_hat
+            v_corrected = naive_variance_estimate(e_corrected, state.counts_star, nu)
+        except EstimationError:
+            continue
+        est_true[i] = e_true
+        est_uncorrected[i] = e_uncorrected
+        est_corrected[i] = e_corrected
+        var_corrected[i] = v_corrected
+        ok[i] = True
 
     completed = int(np.count_nonzero(ok))
     variances = var_corrected[ok]

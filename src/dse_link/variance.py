@@ -38,9 +38,9 @@ class MultinomialMoments:
 def multinomial_moments(N: float, capture: CaptureProbabilities) -> MultinomialMoments:
     """Variances and covariances of (n1plus, nplus1, n11).
 
-    The two covariances with n11 are kept in their expanded grouping; both
-    reduce algebraically to N*p11*p0plus and N*p11*pplus0, and the
-    simulation cross-check in the test suite confirms the expanded forms.
+    The margins are uncorrelated, Cov(n1plus, n11) = N*p11*p0plus and
+    Cov(nplus1, n11) = N*p11*pplus0; the test suite checks all six moments
+    against simulation.
     """
     if N <= 0:
         raise ValueError(f"N must be positive, got {N}")
@@ -52,8 +52,8 @@ def multinomial_moments(N: float, capture: CaptureProbabilities) -> MultinomialM
         var_nplus1=N * p2 * (1.0 - p2),
         var_n11=var_n11,
         cov_n1plus_nplus1=0.0,
-        cov_n1plus_n11=var_n11 - N * p1**2 * p2 * capture.pplus0,
-        cov_nplus1_n11=var_n11 - N * p1 * p2 * capture.p0plus * p2,
+        cov_n1plus_n11=N * p11 * capture.p0plus,
+        cov_nplus1_n11=N * p11 * capture.pplus0,
     )
 
 

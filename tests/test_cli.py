@@ -241,6 +241,87 @@ class TestSimulateCommand:
         assert code != 0
         assert "error:" in capsys.readouterr().err
 
+    def test_missing_output_dir_error_names_requested_path(self, tmp_path, capsys):
+        scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
+        out = tmp_path / "missing_dir" / "results.csv"
+        code = main(
+            ["simulate", scen, "--iterations", "5", "--seed", "1",
+             "--output", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert ".tmp" not in err
+
+    def test_output_is_directory_leaves_no_debris(self, tmp_path, capsys):
+        scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
+        out = tmp_path / "results"
+        out.mkdir()
+        before = sorted(tmp_path.iterdir())
+        code = main(
+            ["simulate", scen, "--iterations", "5", "--seed", "1",
+             "--output", str(out)]
+        )
+        assert code == 1
+        assert str(out) in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+        assert list(out.iterdir()) == []
+
+
+GOLDEN_HEADER = (
+    "p1,p2,fnr,fpr,f,erb_dse,erb_uncorrected,erb_corrected,erse_dse,"
+    "erse_uncorrected,erse_corrected,arse_corrected,exclusions\n"
+)
+GOLDEN_OUTPUTS = {
+    "csv-precision-6": (
+        ["--precision", "6"],
+        "# seed=20250809\n"
+        + GOLDEN_HEADER
+        + "0.9,0.8,0.02,0.05,0.2,0.023072,0.726593,0.018557,0.501532,0.879659,"
+        "1.438206,1.434539,0\n"
+        "0.8,0.7,0.05,0.08,0.1,0.029386,1.504502,0.193839,1.053867,1.619825,"
+        "3.720110,3.764787,0\n",
+    ),
+    "csv-default": (
+        [],
+        "# seed=20250809\n"
+        + GOLDEN_HEADER
+        + "0.9,0.8,0.02,0.05,0.2,0.02,0.73,0.02,0.50,0.88,1.44,1.43,0\n"
+        "0.8,0.7,0.05,0.08,0.1,0.03,1.50,0.19,1.05,1.62,3.72,3.76,0\n",
+    ),
+    "markdown": (
+        ["--format", "markdown"],
+        "seed = 20250809\n"
+        "\n"
+        "| p1 | p2 | fnr | fpr | f | erb_dse | erb_uncorrected | erb_corrected "
+        "| erse_dse | erse_uncorrected | erse_corrected | arse_corrected "
+        "| exclusions |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- "
+        "| --- | --- |\n"
+        "| 0.9 | 0.8 | 0.02 | 0.05 | 0.2 | 0.02 | 0.73 | 0.02 | 0.50 | 0.88 "
+        "| 1.44 | 1.43 | 0 |\n"
+        "| 0.8 | 0.7 | 0.05 | 0.08 | 0.1 | 0.03 | 1.50 | 0.19 | 1.05 | 1.62 "
+        "| 3.72 | 3.76 | 0 |\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_simulate_golden_output(tmp_path, name):
+    """Pins the exact bytes of `dselink simulate` for a fixed two-row
+    scenario file and seed, at one and at four threads."""
+    extra, expected = GOLDEN_OUTPUTS[name]
+    scen = write_scenarios(
+        tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2", "0.8,0.7,0.05,0.08,0.1"]
+    )
+    for threads in ("1", "4"):
+        out = tmp_path / f"{name}-{threads}.out"
+        assert main(
+            ["simulate", scen, "--iterations", "200", "--seed", "20250809",
+             "--threads", threads, "--output", str(out)] + extra
+        ) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+
 
 class TestPlanCommand:
     def test_zero_rates(self, capsys):
