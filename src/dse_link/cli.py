@@ -320,16 +320,6 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _default_threads() -> int:
-    env = os.environ.get("DSE_LINK_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dselink",
@@ -381,9 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument(
         "--threads",
         type=int,
-        default=_default_threads(),
         help="accepted for compatibility, must be >= 1; changes neither output nor "
-        "speed (env DSE_LINK_THREADS as fallback)",
+        "speed (env DSE_LINK_THREADS as fallback, default 1)",
     )
     sim.add_argument("--format", choices=("csv", "markdown"), default="csv")
     sim.add_argument("--output", metavar="PATH", help="write the table here instead of stdout")
@@ -408,9 +397,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 1
+    if args.command == "simulate":
+        source, value = "--threads", args.threads
+        if value is None:
+            source, value = "DSE_LINK_THREADS", os.environ.get("DSE_LINK_THREADS") or "1"
+        try:
+            valid = int(value) >= 1
+        except ValueError:
+            valid = False
+        if not valid:
+            print(f"error: {source} must be an integer >= 1, got {value!r}", file=sys.stderr)
+            return 1
+        args.threads = int(value)
     return args.func(args)
 
 

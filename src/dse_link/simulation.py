@@ -1,15 +1,35 @@
 """Monte Carlo harness for the linkage-error corrected estimators.
 
-Each iteration generates a closed population captured independently by
-two sources, injects synthetic linkage errors at fixed record-level
-rates, draws a without-replacement rematch sample from source 1, and
-computes three estimators plus the plug-in variance of the corrected
-one. Each iteration draws from its own child stream of the seed, keyed
-by iteration index, so results are a pure function of the config.
+Each iteration captures a closed population of N individuals
+independently by two sources, injects synthetic linkage errors at fixed
+record-level rates, draws a without-replacement rematch sample from
+source 1, and computes three estimators plus the plug-in variance of the
+corrected one.
 
-Iterations run serially. They are about a hundred microseconds of small
-numpy calls that hold the GIL, so a thread pool made runs slower, not
-faster; ``threads`` is accepted for compatibility and has no effect.
+The estimators read only a few counts per iteration, so ``run_scenario``
+draws those counts from their exact distributions, for a whole chunk of
+iterations at a time, and never builds the records:
+
+- the capture cells (n11, n10, n01, n00) are Multinomial(N, cell probs);
+- the missed links pi ~ Binomial(n11, fnr) and the spurious links
+  eta ~ Binomial(n10, fpr);
+- the rematch sample's +1 and -1 tallies are a multivariate
+  hypergeometric draw of n_r records from a frame of pi, eta and
+  n1plus - pi - eta records, drawn as two chained hypergeometric draws.
+
+The estimates are array expressions with the scalar functions' operation
+order, so the same counts give bit-identical estimates.
+
+Random streams are keyed by chunk: chunk k, iterations
+[k * CHUNK, (k + 1) * CHUNK), draws from child k of the seed's
+SeedSequence, so results are a pure function of the config. ``threads``
+is accepted for compatibility and changes neither the output nor the
+speed.
+
+``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
+simulate one iteration record by record. ``run_scenario`` does not call
+them: they are the reference oracle the count-level draws are tested
+against.
 """
 
 from __future__ import annotations
@@ -19,9 +39,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ContingencyCounts, EstimationError, dse, naive_corrected
-from .rematch import RematchSample, SampleTooSmall, ht_nu
-from .variance import naive_variance_estimate
+from .estimators import ContingencyCounts
+from .rematch import RematchSample, SampleTooSmall
+
+# Not called here: perfbench's traced run swaps wrappers for these names
+# into this module's namespace, so they must stay importable from it.
+from .estimators import dse, naive_corrected  # noqa: F401
+from .rematch import ht_nu  # noqa: F401
+from .variance import naive_variance_estimate  # noqa: F401
+
+# Iterations per random stream. It fixes the stream layout, so changing
+# it changes every result.
+CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -46,8 +75,10 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if self.N < 0:
-            raise ValueError(f"N must be >= 0, got {self.N}")
+        # numpy's hypergeometric sampler, which draws the rematch tallies,
+        # takes frames of fewer than 10**9 records.
+        if not 0 <= self.N < 10**9:
+            raise ValueError(f"N must lie in [0, 10**9), got {self.N}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.seed < 2**64:
@@ -170,6 +201,79 @@ def draw_rematch(
     return RematchSample(state.source1_codes[indices], n1plus=n1plus)
 
 
+def _draw_counts(config: ScenarioConfig, rng: np.random.Generator, size: int) -> dict:
+    """Draw ``size`` iterations' counts, as int64 arrays, from the law of
+    ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
+    composed: the keyword arguments of ``_estimate_counts``."""
+    p1, p2 = config.p1plus, config.pplus1
+    cells = rng.multinomial(
+        config.N, [p1 * p2, p1 * (1 - p2), (1 - p1) * p2, (1 - p1) * (1 - p2)], size=size
+    )
+    n11, n10, n01 = cells[:, 0], cells[:, 1], cells[:, 2]
+    n1plus = n11 + n10
+    pi = rng.binomial(n11, config.fnr)
+    eta = rng.binomial(n10, config.fpr)
+    # draw_rematch's sample size. A frame of fewer than 2 records excludes
+    # the iteration; capping n_r at the frame keeps its draw defined.
+    n_r = np.maximum(2, np.floor(config.f * n1plus + 0.5).astype(np.int64))
+    n_r = np.minimum(n_r, n1plus)
+    plus = rng.hypergeometric(pi, n1plus - pi, n_r)
+    minus = rng.hypergeometric(eta, n1plus - pi - eta, n_r - plus)
+    return dict(
+        n1plus=n1plus, nplus1=n11 + n01, n11=n11, pi=pi, eta=eta,
+        n_r=n_r, plus=plus, minus=minus,
+    )
+
+
+def _estimate_counts(
+    n1plus, nplus1, n11, pi, eta, n_r, plus, minus
+) -> tuple[np.ndarray, dict]:
+    """Estimates over arrays of per-iteration counts: the true table, the
+    injected errors, the rematch sample size and its +1 and -1 tallies.
+
+    Each value repeats the operations of ``dse``, ``ht_nu``,
+    ``naive_corrected`` or ``naive_variance_estimate`` in their order, so
+    the same counts give bit-identical values while products of two counts
+    stay below 2**53. Returns ``(ok, estimates)``: ``ok`` marks the
+    iterations where neither those calls nor ``inject_linkage_errors`` and
+    ``draw_rematch`` raise EstimationError; ``estimates`` maps ``dse``,
+    ``uncorrected``, ``nu_hat``, ``sigma2_eps``, ``corrected`` and
+    ``variance`` to arrays whose entries are meaningful only where ``ok``.
+    """
+    n11_star = n11 - pi + eta
+    total = plus - minus
+    margin_product = n1plus * nplus1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu_hat = n1plus / n_r * total
+        s2_y = (plus + minus - total * total / n_r) / (n_r - 1)
+        sigma2 = n1plus**2 * (1.0 - n_r / n1plus) / n_r * s2_y
+        corrected_matches = n11_star + nu_hat
+        corrected = margin_product / corrected_matches
+        p1_hat = n1plus / corrected
+        p2_hat = nplus1 / corrected
+        variance = corrected * ((1.0 - p1_hat) * (1.0 - p2_hat)) / (
+            p1_hat * p2_hat
+        ) + sigma2 / (p1_hat * p2_hat) ** 2
+        estimates = dict(
+            dse=margin_product / n11,
+            uncorrected=margin_product / n11_star,
+            nu_hat=nu_hat,
+            sigma2_eps=sigma2,
+            corrected=corrected,
+            variance=variance,
+        )
+    ok = (
+        (n1plus >= 2)
+        & (n11 >= 1)
+        & (n11_star >= 1)
+        & (n11_star <= nplus1)
+        & (corrected_matches > 0)
+        & (corrected > n1plus)
+        & (corrected > nplus1)
+    )
+    return ok, estimates
+
+
 def _stats(values: np.ndarray, population: int) -> EstimatorStats:
     if values.size == 0 or population <= 0:
         return EstimatorStats(None, None, None)
@@ -194,34 +298,19 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     compatibility and changes neither the output nor the speed.
     """
     R = config.iterations
-    children = np.random.SeedSequence(config.seed).spawn(R)
-    est_true = np.full(R, np.nan)
-    est_uncorrected = np.full(R, np.nan)
-    est_corrected = np.full(R, np.nan)
-    var_corrected = np.full(R, np.nan)
-    ok = np.zeros(R, dtype=bool)
-
-    for i in range(R):
-        rng = np.random.default_rng(children[i])
-        try:
-            state = generate_population(config, rng)
-            state = inject_linkage_errors(state, config.fnr, config.fpr, rng)
-            sample = draw_rematch(state, config.f, rng)
-            nu = ht_nu(sample)
-            e_true = dse(state.counts_true).n_hat
-            e_uncorrected = dse(state.counts_star).n_hat
-            e_corrected = naive_corrected(state.counts_star, nu.nu_hat).n_hat
-            v_corrected = naive_variance_estimate(e_corrected, state.counts_star, nu)
-        except EstimationError:
-            continue
-        est_true[i] = e_true
-        est_uncorrected[i] = e_uncorrected
-        est_corrected[i] = e_corrected
-        var_corrected[i] = v_corrected
-        ok[i] = True
+    streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
+    ok = np.empty(R, dtype=bool)
+    results = np.empty((4, R))
+    for k, stream in enumerate(streams):
+        rows = slice(k * CHUNK, min(R, (k + 1) * CHUNK))
+        counts = _draw_counts(config, np.random.default_rng(stream), rows.stop - rows.start)
+        ok[rows], estimates = _estimate_counts(**counts)
+        results[:, rows] = [
+            estimates[name] for name in ("dse", "uncorrected", "corrected", "variance")
+        ]
 
     completed = int(np.count_nonzero(ok))
-    variances = var_corrected[ok]
+    est_true, est_uncorrected, est_corrected, variances = results[:, ok]
     if completed and config.N > 0:
         arse = float(100.0 * np.sqrt(variances).mean() / config.N)
         arse_rmv = float(100.0 * math.sqrt(variances.mean()) / config.N)
@@ -229,9 +318,9 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
         arse = arse_rmv = None
     return SimulationSummary(
         config=config,
-        dse=_stats(est_true[ok], config.N),
-        uncorrected=_stats(est_uncorrected[ok], config.N),
-        corrected=_stats(est_corrected[ok], config.N),
+        dse=_stats(est_true, config.N),
+        uncorrected=_stats(est_uncorrected, config.N),
+        corrected=_stats(est_corrected, config.N),
         arse_pct=arse,
         arse_root_mean_var_pct=arse_rmv,
         iterations_completed=completed,

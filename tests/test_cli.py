@@ -231,6 +231,18 @@ class TestSimulateCommand:
         ) == 0
         assert capsys.readouterr().out == with_env
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_invalid_threads_env_var_rejected(self, tmp_path, capsys, monkeypatch, value):
+        scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
+        out = tmp_path / "results.csv"
+        monkeypatch.setenv("DSE_LINK_THREADS", value)
+        code = main(
+            ["simulate", scen, "--iterations", "5", "--seed", "1", "--output", str(out)]
+        )
+        assert code == 1
+        assert "DSE_LINK_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_reports_error(self, tmp_path, capsys):
         scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
         out = tmp_path / "missing_dir" / "results.csv"
@@ -277,17 +289,17 @@ GOLDEN_OUTPUTS = {
         ["--precision", "6"],
         "# seed=20250809\n"
         + GOLDEN_HEADER
-        + "0.9,0.8,0.02,0.05,0.2,0.023072,0.726593,0.018557,0.501532,0.879659,"
-        "1.438206,1.434539,0\n"
-        "0.8,0.7,0.05,0.08,0.1,0.029386,1.504502,0.193839,1.053867,1.619825,"
-        "3.720110,3.764787,0\n",
+        + "0.9,0.8,0.02,0.05,0.2,0.037970,0.664199,0.006387,0.504578,0.828096,"
+        "1.419378,1.407356,0\n"
+        "0.8,0.7,0.05,0.08,0.1,0.022164,1.598914,0.165035,1.086883,1.604874,"
+        "4.142611,3.729878,0\n",
     ),
     "csv-default": (
         [],
         "# seed=20250809\n"
         + GOLDEN_HEADER
-        + "0.9,0.8,0.02,0.05,0.2,0.02,0.73,0.02,0.50,0.88,1.44,1.43,0\n"
-        "0.8,0.7,0.05,0.08,0.1,0.03,1.50,0.19,1.05,1.62,3.72,3.76,0\n",
+        + "0.9,0.8,0.02,0.05,0.2,0.04,0.66,0.01,0.50,0.83,1.42,1.41,0\n"
+        "0.8,0.7,0.05,0.08,0.1,0.02,1.60,0.17,1.09,1.60,4.14,3.73,0\n",
     ),
     "markdown": (
         ["--format", "markdown"],
@@ -298,10 +310,10 @@ GOLDEN_OUTPUTS = {
         "| exclusions |\n"
         "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- "
         "| --- | --- |\n"
-        "| 0.9 | 0.8 | 0.02 | 0.05 | 0.2 | 0.02 | 0.73 | 0.02 | 0.50 | 0.88 "
-        "| 1.44 | 1.43 | 0 |\n"
-        "| 0.8 | 0.7 | 0.05 | 0.08 | 0.1 | 0.03 | 1.50 | 0.19 | 1.05 | 1.62 "
-        "| 3.72 | 3.76 | 0 |\n",
+        "| 0.9 | 0.8 | 0.02 | 0.05 | 0.2 | 0.04 | 0.66 | 0.01 | 0.50 | 0.83 "
+        "| 1.42 | 1.41 | 0 |\n"
+        "| 0.8 | 0.7 | 0.05 | 0.08 | 0.1 | 0.02 | 1.60 | 0.17 | 1.09 | 1.60 "
+        "| 4.14 | 3.73 | 0 |\n",
     ),
 }
 

@@ -1,8 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dse_link import (
     ContingencyCounts,
+    EstimationError,
+    RematchSample,
     ScenarioConfig,
     TrueLinkageState,
     draw_rematch,
@@ -11,8 +15,10 @@ from dse_link import (
     ht_nu,
     inject_linkage_errors,
     naive_corrected,
+    naive_variance_estimate,
     run_scenario,
 )
+from dse_link.simulation import CHUNK, _draw_counts, _estimate_counts
 
 
 def make_config(**overrides):
@@ -187,6 +193,13 @@ class TestRunScenario:
         config = make_config(iterations=300)
         assert run_scenario(config) == run_scenario(config)
 
+    def test_two_chunks_deterministic_and_thread_invariant(self):
+        config = make_config(iterations=CHUNK + 1)
+        reference = run_scenario(config, threads=1)
+        assert run_scenario(config, threads=1) == reference
+        assert run_scenario(config, threads=4) == reference
+        assert reference.iterations_completed + reference.exclusions == CHUNK + 1
+
     def test_identical_across_thread_counts(self):
         config = make_config(iterations=300)
         reference = run_scenario(config, threads=1)
@@ -224,6 +237,13 @@ class TestRunScenario:
         assert summary.corrected.mean is None
         assert summary.arse_pct is None
 
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_frames_below_two_records_excluded(self, N):
+        # the capped rematch draw of n_r = n1plus in {0, 1} must stay defined
+        summary = run_scenario(make_config(N=N, iterations=20))
+        assert summary.exclusions == 20
+        assert summary.corrected.mean is None
+
     def test_mean_estimates_near_truth(self):
         summary = run_scenario(make_config(iterations=2000, seed=99))
         assert summary.dse.mean == pytest.approx(1000, rel=0.01)
@@ -250,3 +270,113 @@ class TestScenarioConfig:
             make_config(seed=-1)
         with pytest.raises(ValueError):
             make_config(seed=2**64)
+
+    def test_rejects_population_beyond_sampler_limit(self):
+        make_config(N=10**9 - 1)
+        with pytest.raises(ValueError, match="N must lie in"):
+            make_config(N=10**9)
+
+
+def count_tuples(max_list_size):
+    """Every (n1plus, nplus1, n11, pi, eta, n_r, plus, minus) the engine can
+    produce with both list sizes <= max_list_size. Frames of fewer than 2
+    records get the engine's capped sample size n_r = n1plus."""
+    sizes = range(max_list_size + 1)
+    for n1plus, nplus1 in itertools.product(sizes, sizes):
+        sample_sizes = range(2, n1plus + 1) if n1plus >= 2 else (n1plus,)
+        for n11 in range(min(n1plus, nplus1) + 1):
+            for pi, eta in itertools.product(range(n11 + 1), range(n1plus - n11 + 1)):
+                zeros = n1plus - pi - eta
+                for n_r in sample_sizes:
+                    for plus in range(max(0, n_r - n1plus + pi), min(pi, n_r) + 1):
+                        for minus in range(
+                            max(0, n_r - plus - zeros), min(eta, n_r - plus) + 1
+                        ):
+                            yield n1plus, nplus1, n11, pi, eta, n_r, plus, minus
+
+
+def scalar_estimates(n1plus, nplus1, n11, pi, eta, n_r, plus, minus):
+    """The scalar path's values for one count tuple, or None where it
+    raises EstimationError."""
+    counts_true = ContingencyCounts(n1plus, nplus1, n11)
+    try:
+        # spurious links can push n11 past nplus1 (InvalidCounts)
+        counts_star = ContingencyCounts(n1plus, nplus1, n11 - pi + eta)
+        if n1plus < 2:
+            state = TrueLinkageState(
+                counts_true, np.zeros(n1plus, np.int8), pi, eta, counts_star
+            )
+            draw_rematch(state, 1.0, np.random.default_rng(0))
+        codes = [1] * plus + [-1] * minus + [0] * (n_r - plus - minus)
+        nu = ht_nu(RematchSample(codes, n1plus=n1plus))
+        corrected = naive_corrected(counts_star, nu.nu_hat).n_hat
+        return dict(
+            dse=dse(counts_true).n_hat,
+            uncorrected=dse(counts_star).n_hat,
+            nu_hat=nu.nu_hat,
+            sigma2_eps=nu.sigma2_eps,
+            corrected=corrected,
+            variance=naive_variance_estimate(corrected, counts_star, nu),
+        )
+    except EstimationError:
+        return None
+
+
+class TestCountEngine:
+    def test_estimates_bit_identical_to_scalar_path(self):
+        tuples = list(count_tuples(6))
+        columns = np.array(tuples, dtype=np.int64).T
+        names = ("n1plus", "nplus1", "n11", "pi", "eta", "n_r", "plus", "minus")
+        ok, estimates = _estimate_counts(**dict(zip(names, columns)))
+        excluded = 0
+        for i, counts in enumerate(tuples):
+            expected = scalar_estimates(*counts)
+            assert ok[i] == (expected is not None), counts
+            if expected is None:
+                excluded += 1
+                continue
+            for name, value in expected.items():
+                assert estimates[name][i] == value, (counts, name)
+        # both outcomes are well represented
+        assert 0 < excluded < len(tuples)
+
+    def test_count_moments_match_record_level_oracle(self):
+        # one grid row; the record-level stages are the reference
+        config = make_config(p1plus=0.9, pplus1=0.8, fnr=0.05, fpr=0.08, f=0.1)
+        counts = _draw_counts(config, np.random.default_rng(31), 100_000)
+        engine = np.column_stack(
+            [
+                counts["n11"],
+                counts["n1plus"] - counts["n11"],
+                counts["nplus1"] - counts["n11"],
+                counts["pi"],
+                counts["eta"],
+                counts["plus"],
+                counts["minus"],
+            ]
+        ).astype(float)
+        rng = np.random.default_rng(32)
+        records = []
+        for _ in range(10_000):
+            state = generate_population(config, rng)
+            state = inject_linkage_errors(state, config.fnr, config.fpr, rng)
+            outcomes = draw_rematch(state, config.f, rng).outcomes
+            true = state.counts_true
+            records.append(
+                (
+                    true.n11,
+                    true.n10,
+                    true.n01,
+                    state.pi,
+                    state.eta,
+                    np.count_nonzero(outcomes == 1),
+                    np.count_nonzero(outcomes == -1),
+                )
+            )
+        records = np.array(records, dtype=float)
+        standard_errors = np.sqrt(
+            engine.var(axis=0, ddof=1) / len(engine)
+            + records.var(axis=0, ddof=1) / len(records)
+        )
+        z = np.abs(engine.mean(axis=0) - records.mean(axis=0)) / standard_errors
+        assert (z <= 4).all(), z
