@@ -33,6 +33,15 @@ class DegenerateDenominator(EstimationError):
     """Error rates are inconsistent with the observed match count."""
 
 
+def integer_count(name: str, value) -> int:
+    """``value`` as a Python int; bools and non-integers raise InvalidCounts."""
+    if type(value) is not int:
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise InvalidCounts(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    return value
+
+
 @dataclass(frozen=True)
 class ContingencyCounts:
     """Observed two-list counts: the two list sizes and the linked count.
@@ -48,12 +57,9 @@ class ContingencyCounts:
 
     def __post_init__(self):
         for name in ("n1plus", "nplus1", "n11"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                    raise InvalidCounts(f"{name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, int(value))
-            if getattr(self, name) < 0:
+            value = integer_count(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+            if value < 0:
                 raise InvalidCounts(f"{name} must be >= 0, got {value}")
         if self.n11 > self.n1plus or self.n11 > self.nplus1:
             raise InvalidCounts(

@@ -10,12 +10,13 @@ finite population correction.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .estimators import CaptureProbabilities, ErrorRates, EstimationError
+from .estimators import CaptureProbabilities, ErrorRates, EstimationError, integer_count
 from .variance import naive_variance_approx
 
 
@@ -63,6 +64,7 @@ class RematchSample:
             if codes.min() < -1 or codes.max() > 1:
                 raise ValueError("outcome codes must be one of {+1, -1, 0}")
         object.__setattr__(self, "outcomes", codes.astype(np.int8))
+        object.__setattr__(self, "n1plus", integer_count("n1plus", self.n1plus))
         if self.n1plus < 1:
             raise ValueError(f"n1plus must be >= 1, got {self.n1plus}")
         if self.n_r < 2:
@@ -156,9 +158,10 @@ def plan_sample_size(
 
         S2 = (pi_bar + eta_bar) / n1plus - ((pi_bar - eta_bar) / n1plus)**2.
 
-    The candidate sizes are scanned exactly as integers; no analytic
-    inversion, so there are no edge cases as the sampling fraction
-    approaches one.
+    The anticipated variance never rises as n_r grows, so bisection over
+    the integer sizes 2..n1plus finds the answer in about log2(n1plus)
+    exact tests, with no analytic inversion and so no edge cases as the
+    sampling fraction approaches one.
 
     Raises Infeasible when even a census rematch misses the target; the
     exception carries the minimum achievable RSE.
@@ -189,14 +192,11 @@ def plan_sample_size(
             min_achievable_rse=min_rse,
         )
 
-    p11_sq = (capture.p1plus * capture.pplus1) ** 2
-    chunk = 1_000_000
-    for lo in range(2, n1plus + 1, chunk):
-        n_r = np.arange(lo, min(lo + chunk, n1plus + 1))
+    def feasible(n_r: int) -> bool:
+        # not srswor_total_variance: it is algebraically equal but rounds
+        # differently, moving answers by one on a size's exact boundary
         sigma2 = n1plus**2 * s2 * (1.0 / n_r - 1.0 / n1plus)
-        variance = floor_variance + sigma2 / p11_sq
-        feasible = variance <= target_variance
-        if feasible.any():
-            return int(n_r[feasible.argmax()])
-    # floor_variance <= target_variance guarantees n_r = n1plus qualifies
-    return n1plus
+        return naive_variance_approx(n_guess, capture, sigma2) <= target_variance
+
+    # the census n_r = n1plus (sigma2 = 0) passes whenever the floor check did
+    return bisect.bisect_left(range(2, n1plus), True, key=feasible) + 2

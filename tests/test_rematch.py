@@ -8,12 +8,14 @@ from dse_link import (
     CaptureProbabilities,
     ErrorRates,
     Infeasible,
+    InvalidCounts,
     NuEstimate,
     RematchOutcome,
     RematchSample,
     SampleExceedsFrame,
     SampleTooSmall,
     ht_nu,
+    naive_variance_approx,
     plan_sample_size,
 )
 
@@ -59,6 +61,12 @@ class TestRematchSample:
     def test_exceeds_frame(self):
         with pytest.raises(SampleExceedsFrame):
             RematchSample([0, 0, 0], n1plus=2)
+
+    @pytest.mark.parametrize("n1plus", [2.5, True])
+    def test_rejects_non_integer_frame(self, n1plus):
+        # 2.5 would otherwise give f = 0.8 and scale nu_hat by 1.25
+        with pytest.raises(InvalidCounts):
+            RematchSample([0, 1], n1plus=n1plus)
 
 
 class TestHtNu:
@@ -140,6 +148,16 @@ def brute_force_plan(n1plus, rates, capture, n_guess, target_rse):
     return None
 
 
+def anticipated_variance(n1plus, rates, capture, n_guess, n_r):
+    """The planner's anticipated corrected-estimator variance at size n_r,
+    with its own float expressions, so boundary cases compare exactly."""
+    pi_bar = rates.fnr * capture.p11 * n_guess
+    eta_bar = rates.fpr * capture.p1plus * capture.pplus0 * n_guess
+    s2 = (pi_bar + eta_bar) / n1plus - ((pi_bar - eta_bar) / n1plus) ** 2
+    sigma2 = n1plus**2 * s2 * (1.0 / n_r - 1.0 / n1plus)
+    return naive_variance_approx(n_guess, capture, sigma2)
+
+
 class TestPlanSampleSize:
     CAPTURE = CaptureProbabilities(0.9, 0.8)
 
@@ -175,6 +193,37 @@ class TestPlanSampleSize:
             plan_sample_size(900, rates, self.CAPTURE, 1000.0, t) for t in targets
         ]
         assert all(a <= b for a, b in zip(sizes, sizes[1:]))
+
+    @pytest.mark.parametrize("n1plus", [2, 10**7, 10**12])
+    def test_large_frame_first_feasible_size(self, n1plus):
+        # the target is the variance at 60% of the frame, so a scan over
+        # the sizes would test about 6 * 10**11 of them at n1plus = 10**12
+        rates = ErrorRates(0.05, 0.08)
+        n_guess = n1plus / self.CAPTURE.p1plus
+        goal = max(2, int(0.6 * n1plus))
+        variance = anticipated_variance(n1plus, rates, self.CAPTURE, n_guess, goal)
+        target_rse = math.sqrt(variance) / n_guess
+        target_variance = (target_rse * n_guess) ** 2
+        got = plan_sample_size(n1plus, rates, self.CAPTURE, n_guess, target_rse)
+        assert 2 <= got <= n1plus
+        assert (
+            anticipated_variance(n1plus, rates, self.CAPTURE, n_guess, got)
+            <= target_variance
+        )
+        if got > 2:
+            assert (
+                anticipated_variance(n1plus, rates, self.CAPTURE, n_guess, got - 1)
+                > target_variance
+            )
+
+    def test_target_at_floor_needs_census(self):
+        # p1 = p2 = 1/2 and N = 2**20 make the floor variance 2**20 and the
+        # target RSE 2**-10 exact, so only a census (sigma2 = 0) meets it
+        capture = CaptureProbabilities(0.5, 0.5)
+        n_guess = 2.0**20
+        assert naive_variance_approx(n_guess, capture, 0.0) == (2.0**-10 * n_guess) ** 2
+        rates = ErrorRates(0.02, 0.05)
+        assert plan_sample_size(2**19, rates, capture, n_guess, 2.0**-10) == 2**19
 
     def test_rejects_tiny_frame(self):
         with pytest.raises(ValueError):
