@@ -174,7 +174,7 @@ def naive_corrected(counts_star: ContingencyCounts, nu_hat: float) -> EstimateRe
     study. The result is never floored.
     """
     denominator = counts_star.n11 + nu_hat
-    if denominator <= 0:
+    if not denominator > 0:
         raise NonPositiveCorrectedMatches(
             f"corrected match count n11 + nu_hat = {denominator} is not positive"
         )
@@ -208,7 +208,7 @@ def ding_fienberg(
             f"correct-link rate alpha={alpha} must exceed false-link rate beta={beta}"
         )
     denominator = counts_star.n11 - beta * counts_star.n1plus
-    if denominator <= 0:
+    if not denominator > 0:
         raise DegenerateDenominator(
             f"n11={counts_star.n11} does not exceed beta * n1plus = "
             f"{beta * counts_star.n1plus}; error rates are inconsistent "

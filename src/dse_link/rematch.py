@@ -11,6 +11,7 @@ finite population correction.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -108,7 +109,7 @@ class NuEstimate:
     sigma2_eps: float
 
     def __post_init__(self):
-        if self.sigma2_eps < 0:
+        if not self.sigma2_eps >= 0:
             raise ValueError(f"sigma2_eps must be >= 0, got {self.sigma2_eps}")
 
 
@@ -120,8 +121,7 @@ def srswor_total_variance(frame_size: int, sample_size, unit_variance):
 
     with f = sample_size / frame_size. Exact when ``unit_variance`` is the
     population unit variance (divisor frame_size - 1); plugging in the
-    sample variance gives the standard unbiased estimate. Accepts arrays
-    for ``sample_size`` / ``unit_variance``.
+    sample variance gives the standard unbiased estimate.
     """
     f = sample_size / frame_size
     return frame_size**2 * (1.0 - f) / sample_size * unit_variance
@@ -166,12 +166,13 @@ def plan_sample_size(
     Raises Infeasible when even a census rematch misses the target; the
     exception carries the minimum achievable RSE.
     """
+    n1plus = integer_count("n1plus", n1plus)
     if n1plus < 2:
         raise ValueError(f"n1plus must be >= 2, got {n1plus}")
-    if n_guess <= 0:
-        raise ValueError(f"n_guess must be positive, got {n_guess}")
-    if target_rse <= 0:
-        raise ValueError(f"target_rse must be positive, got {target_rse}")
+    if not 0 < n_guess < math.inf:
+        raise ValueError(f"n_guess must be finite and positive, got {n_guess}")
+    if not 0 < target_rse < math.inf:
+        raise ValueError(f"target_rse must be finite and positive, got {target_rse}")
 
     pi_bar = anticipated.fnr * capture.p11 * n_guess
     eta_bar = anticipated.fpr * capture.p1plus * capture.pplus0 * n_guess

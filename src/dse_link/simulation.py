@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ContingencyCounts
+from .estimators import ContingencyCounts, ErrorRates
 from .rematch import RematchSample, SampleTooSmall
 
 # Not called here: perfbench's traced run swaps wrappers for these names
@@ -71,15 +71,12 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
-        for name in ("fnr", "fpr"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        ErrorRates(self.fnr, self.fpr)  # raises on rates outside [0, 1]
         # numpy's hypergeometric sampler, which draws the rematch tallies,
         # takes frames of fewer than 10**9 records.
         if not 0 <= self.N < 10**9:
             raise ValueError(f"N must lie in [0, 10**9), got {self.N}")
-        if self.iterations < 1:
+        if not self.iterations >= 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")

@@ -42,7 +42,7 @@ def multinomial_moments(N: float, capture: CaptureProbabilities) -> MultinomialM
     Cov(nplus1, n11) = N*p11*pplus0; the test suite checks all six moments
     against simulation.
     """
-    if N <= 0:
+    if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
     p1, p2 = capture.p1plus, capture.pplus1
     p11 = p1 * p2
@@ -60,7 +60,7 @@ def multinomial_moments(N: float, capture: CaptureProbabilities) -> MultinomialM
 def dse_variance_approx(N: float, capture: CaptureProbabilities) -> float:
     """Linearized variance of the dual system estimator:
     N * p0plus * pplus0 / (p1plus * pplus1)."""
-    if N <= 0:
+    if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
     return N * (capture.p0plus * capture.pplus0) / (capture.p1plus * capture.pplus1)
 
@@ -73,7 +73,7 @@ def naive_variance_approx(
     Equals the dual-system term plus sigma2_eps / (p1plus * pplus1)**2,
     where sigma2_eps is the variance of the rematch correction.
     """
-    if sigma2_eps < 0:
+    if not sigma2_eps >= 0:
         raise ValueError(f"sigma2_eps must be >= 0, got {sigma2_eps}")
     return dse_variance_approx(N, capture) + sigma2_eps / (
         capture.p1plus * capture.pplus1
@@ -83,25 +83,20 @@ def naive_variance_approx(
 def naive_variance_estimate(
     n_tilde: float, counts_star: ContingencyCounts, nu: "NuEstimate"
 ) -> float:
-    """Plug-in variance estimate for the corrected estimator.
+    """Plug-in variance estimate for the corrected estimator:
+    ``naive_variance_approx`` at the plug-in point N = n_tilde,
+    p1plus = n1plus / n_tilde, pplus1 = nplus1 / n_tilde.
 
-    Replaces N by the estimate ``n_tilde`` and the capture probabilities by
-    p1plus = n1plus / n_tilde, pplus1 = nplus1 / n_tilde. The estimate must
-    exceed both list sizes so the plug-in probabilities stay inside (0, 1);
-    boundary cases raise rather than clamp, since they signal a logically
-    inconsistent input.
+    The estimate must exceed both list sizes so the plug-in probabilities
+    stay inside (0, 1); boundary cases raise rather than clamp, since they
+    signal a logically inconsistent input.
     """
-    if nu.sigma2_eps < 0:
-        raise ValueError(f"sigma2_eps must be >= 0, got {nu.sigma2_eps}")
-    if n_tilde <= counts_star.n1plus or n_tilde <= counts_star.nplus1:
+    if not (n_tilde > counts_star.n1plus and n_tilde > counts_star.nplus1):
         raise EstimateBelowMargin(
             f"estimate {n_tilde} does not exceed both list sizes "
             f"({counts_star.n1plus}, {counts_star.nplus1})"
         )
-    p1_hat = counts_star.n1plus / n_tilde
-    p2_hat = counts_star.nplus1 / n_tilde
-    p0_hat = 1.0 - p1_hat
-    pp0_hat = 1.0 - p2_hat
-    return n_tilde * (p0_hat * pp0_hat) / (p1_hat * p2_hat) + nu.sigma2_eps / (
-        p1_hat * p2_hat
-    ) ** 2
+    capture = CaptureProbabilities(
+        counts_star.n1plus / n_tilde, counts_star.nplus1 / n_tilde
+    )
+    return naive_variance_approx(n_tilde, capture, nu.sigma2_eps)

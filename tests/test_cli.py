@@ -362,3 +362,17 @@ class TestPlanCommand:
         )
         assert code == 0
         assert "n_r: 98" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "population, rate, target",
+        [("1000", "0.02", "nan"), ("inf", "0", "0.02"), ("nan", "0.02", "0.02")],
+    )
+    def test_non_finite_input_rejected(self, capsys, population, rate, target):
+        code = main(
+            ["plan", "--n1", "900", "--p1", "0.9", "--p2", "0.8", "--N", population,
+             "--fnr", rate, "--fpr", rate, "--target-rse", target]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite and positive" in captured.err

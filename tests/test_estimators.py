@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,10 @@ class TestNaiveCorrected:
             naive_corrected(ContingencyCounts(900, 800, 10), -10.0)
         with pytest.raises(NonPositiveCorrectedMatches):
             naive_corrected(ContingencyCounts(900, 800, 10), -15.0)
+
+    def test_nan_correction_rejected(self):
+        with pytest.raises(NonPositiveCorrectedMatches):
+            naive_corrected(ContingencyCounts(900, 800, 10), math.nan)
 
 
 class TestDingFienberg:

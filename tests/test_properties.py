@@ -11,11 +11,13 @@ from dse_link import (
     ContingencyCounts,
     ErrorRates,
     InvalidCounts,
+    NuEstimate,
     RematchSample,
     ding_fienberg,
     dse,
     ht_nu,
     naive_variance_approx,
+    naive_variance_estimate,
     plan_sample_size,
 )
 from test_rematch import anticipated_variance
@@ -69,6 +71,21 @@ def valid_counts(draw):
 def test_ding_fienberg_without_errors_is_dse(counts):
     assert ding_fienberg(counts, 1.0, 0.0).n_hat == pytest.approx(
         dse(counts).n_hat, rel=1e-12
+    )
+
+
+@PROPERTY
+@given(
+    counts=valid_counts(),
+    scale=st.floats(1.0, 1e6, exclude_min=True),
+    sigma2_eps=st.floats(0.0, 1e15),
+)
+def test_plug_in_variance_is_approximation_at_plug_in_point(counts, scale, sigma2_eps):
+    n_tilde = max(counts.n1plus, counts.nplus1) * scale
+    nu = NuEstimate(0.0, sigma2_eps)
+    capture = CaptureProbabilities(counts.n1plus / n_tilde, counts.nplus1 / n_tilde)
+    assert naive_variance_estimate(n_tilde, counts, nu) == naive_variance_approx(
+        n_tilde, capture, sigma2_eps
     )
 
 

@@ -229,6 +229,26 @@ class TestPlanSampleSize:
         with pytest.raises(ValueError):
             plan_sample_size(1, ErrorRates(0.0, 0.0), self.CAPTURE, 1000.0, 0.02)
 
+    @pytest.mark.parametrize("n1plus", [10.5, 900.0, True])
+    def test_rejects_non_integer_frame(self, n1plus):
+        with pytest.raises(InvalidCounts):
+            plan_sample_size(n1plus, ErrorRates(0.02, 0.05), self.CAPTURE, 1000.0, 0.02)
+
+    @pytest.mark.parametrize(
+        "n_guess, target_rse",
+        [
+            (math.nan, 0.02),
+            (math.inf, 0.02),
+            (-math.inf, 0.02),
+            (1000.0, math.nan),
+            (1000.0, math.inf),
+        ],
+    )
+    @pytest.mark.parametrize("rates", [ErrorRates(0.0, 0.0), ErrorRates(0.02, 0.05)])
+    def test_rejects_non_finite_inputs(self, n_guess, target_rse, rates):
+        with pytest.raises(ValueError, match="must be finite and positive"):
+            plan_sample_size(900, rates, self.CAPTURE, n_guess, target_rse)
+
     def test_cross_check_against_simulated_precision(self):
         # feeding the empirical ERSE of a f=0.2 scenario back in as the
         # target should plan a sample size near the 0.2 * n1plus that
@@ -252,3 +272,9 @@ def test_nu_estimate_carrier():
     estimate = NuEstimate(nu_hat=3.0, sigma2_eps=1.5)
     assert estimate.nu_hat == 3.0
     assert estimate.sigma2_eps == 1.5
+
+
+@pytest.mark.parametrize("sigma2_eps", [-0.5, math.nan])
+def test_nu_estimate_rejects_invalid_variance(sigma2_eps):
+    with pytest.raises(ValueError):
+        NuEstimate(1.0, sigma2_eps)

@@ -263,6 +263,17 @@ class TestScenarioConfig:
         with pytest.raises(ValueError):
             make_config(fnr=-0.1)
 
+    @pytest.mark.parametrize("name", ["fnr", "fpr"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_rejects_error_rates_as_error_rates_do(self, name, value):
+        with pytest.raises(ValueError, match=rf"{name} must lie in \[0, 1\]"):
+            make_config(**{name: value})
+
+    @pytest.mark.parametrize("name", ["p1plus", "pplus1", "f", "N", "iterations"])
+    def test_rejects_nan(self, name):
+        with pytest.raises(ValueError):
+            make_config(**{name: float("nan")})
+
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             make_config(iterations=0)

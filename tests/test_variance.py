@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,10 @@ class TestMultinomialMoments:
         with pytest.raises(ValueError):
             multinomial_moments(0, CaptureProbabilities(0.5, 0.5))
 
+    def test_rejects_nan_population(self):
+        with pytest.raises(ValueError):
+            multinomial_moments(math.nan, CaptureProbabilities(0.5, 0.5))
+
 
 class TestDseVarianceApprox:
     def test_anchor_high_coverage(self):
@@ -127,6 +133,11 @@ class TestNaiveVarianceApprox:
         with pytest.raises(ValueError):
             naive_variance_approx(1000, self.CAPTURE, -1.0)
 
+    @pytest.mark.parametrize("N, sigma2", [(1000, math.nan), (math.nan, 0.0)])
+    def test_rejects_nan(self, N, sigma2):
+        with pytest.raises(ValueError):
+            naive_variance_approx(N, self.CAPTURE, sigma2)
+
 
 class TestNaiveVarianceEstimate:
     COUNTS = ContingencyCounts(900, 800, 710)
@@ -158,6 +169,15 @@ class TestNaiveVarianceEstimate:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             naive_variance_estimate(1000.0, self.COUNTS, NuEstimate(0.0, -0.5))
+
+    def test_nan_estimate_rejected(self):
+        with pytest.raises(EstimateBelowMargin):
+            naive_variance_estimate(math.nan, self.COUNTS, NuEstimate(0.0, 0.0))
+
+    def test_empty_list_rejected(self):
+        # the plug-in p1plus would be 0, outside (0, 1)
+        with pytest.raises(ValueError):
+            naive_variance_estimate(5.0, ContingencyCounts(0, 3, 0), NuEstimate(0.0, 0.0))
 
 
 def test_all_variances_nonnegative():
