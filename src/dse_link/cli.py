@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import os
+import re
 import secrets
 import sys
 from importlib.resources import files
@@ -15,7 +16,6 @@ from types import SimpleNamespace
 
 from .estimators import (
     ContingencyCounts,
-    EstimationError,
     dse,
     ding_fienberg,
     naive_corrected,
@@ -227,27 +227,23 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        counts = ContingencyCounts(args.n1, args.n2, args.m)
-        report = {"dse": dse(counts, floor=args.floor).n_hat}
-        if args.rematch:
-            codes = load_rematch_codes(args.rematch)
-            sample = RematchSample(codes, n1plus=args.n1)
-            nu = ht_nu(sample)
-            corrected = naive_corrected(counts, nu.nu_hat)
-            variance = naive_variance_estimate(corrected.n_hat, counts, nu)
-            report["nu_hat"] = nu.nu_hat
-            report["sigma2_eps"] = nu.sigma2_eps
-            report["corrected"] = corrected.n_hat
-            report["corrected_variance"] = variance
-            report["corrected_rse_pct"] = 100.0 * variance**0.5 / corrected.n_hat
-        if args.alpha is not None or args.beta is not None:
-            if args.alpha is None or args.beta is None:
-                raise ValueError("--alpha and --beta must be given together")
-            report["ding_fienberg"] = ding_fienberg(counts, args.alpha, args.beta).n_hat
-    except (EstimationError, ValueError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    counts = ContingencyCounts(args.n1, args.n2, args.m)
+    report = {"dse": dse(counts, floor=args.floor).n_hat}
+    if args.rematch:
+        codes = load_rematch_codes(args.rematch)
+        sample = RematchSample(codes, n1plus=args.n1)
+        nu = ht_nu(sample)
+        corrected = naive_corrected(counts, nu.nu_hat)
+        variance = naive_variance_estimate(corrected.n_hat, counts, nu)
+        report["nu_hat"] = nu.nu_hat
+        report["sigma2_eps"] = nu.sigma2_eps
+        report["corrected"] = corrected.n_hat
+        report["corrected_variance"] = variance
+        report["corrected_rse_pct"] = 100.0 * variance**0.5 / corrected.n_hat
+    if args.alpha is not None or args.beta is not None:
+        if args.alpha is None or args.beta is None:
+            raise ValueError("--alpha and --beta must be given together")
+        report["ding_fienberg"] = ding_fienberg(counts, args.alpha, args.beta).n_hat
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -257,17 +253,22 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    source, value = "--threads", args.threads
+    if value is None:
+        source, value = "DSE_LINK_THREADS", os.environ.get("DSE_LINK_THREADS") or "1"
+    # int()'s syntax for a non-negative integer, so int(value) cannot raise.
+    if not re.fullmatch(r"\s*\+?\d+(_\d+)*\s*", str(value)) or int(value) < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    threads = int(value)
+    if args.precision < 0:
+        raise ValueError(f"--precision must be >= 0, got {args.precision}")
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     path = args.scenario if args.scenario is not None else bundled_scenario_path()
-    try:
-        configs = load_scenario_file(path, args.iterations, seed, args.population)
-    except (ScenarioFileError, OSError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    configs = load_scenario_file(path, args.iterations, seed, args.population)
 
     rows = []
     for config in configs:
-        summary = run_scenario(config, threads=args.threads)
+        summary = run_scenario(config, threads=threads)
         rows.append(summary_to_row(summary))
         if args.verbose:
             alt = summary.arse_root_mean_var_pct
@@ -285,36 +286,20 @@ def cmd_simulate(args) -> int:
     else:
         text = render_markdown(rows, seed)
     if args.output:
-        try:
-            _atomic_write(args.output, text)
-        except OSError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
+        _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
 
 
 def cmd_plan(args) -> int:
-    try:
-        n_r = plan_sample_size(
-            n1plus=args.n1,
-            anticipated=ErrorRates(fnr=args.fnr, fpr=args.fpr),
-            capture=CaptureProbabilities(p1plus=args.p1, pplus1=args.p2),
-            n_guess=args.N,
-            target_rse=args.target_rse,
-        )
-    except Infeasible as exc:
-        print(f"error: Infeasible: {exc}", file=sys.stderr)
-        if exc.min_achievable_rse is not None:
-            print(
-                f"minimum achievable rse: {exc.min_achievable_rse:.6f}",
-                file=sys.stderr,
-            )
-        return 1
-    except (EstimationError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    n_r = plan_sample_size(
+        n1plus=args.n1,
+        anticipated=ErrorRates(fnr=args.fnr, fpr=args.fpr),
+        capture=CaptureProbabilities(p1plus=args.p1, pplus1=args.p2),
+        n_guess=args.N,
+        target_rse=args.target_rse,
+    )
     print(f"n_r: {n_r}")
     print(f"f: {n_r / args.n1:.6f}")
     return 0
@@ -396,20 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a subcommand; an expected failure prints ``error: <Type>: <message>``, returns 1."""
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        source, value = "--threads", args.threads
-        if value is None:
-            source, value = "DSE_LINK_THREADS", os.environ.get("DSE_LINK_THREADS") or "1"
-        try:
-            valid = int(value) >= 1
-        except ValueError:
-            valid = False
-        if not valid:
-            print(f"error: {source} must be an integer >= 1, got {value!r}", file=sys.stderr)
-            return 1
-        args.threads = int(value)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if isinstance(exc, Infeasible) and exc.min_achievable_rse is not None:
+            print(f"minimum achievable rse: {exc.min_achievable_rse:.6f}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -174,6 +174,8 @@ def naive_corrected(counts_star: ContingencyCounts, nu_hat: float) -> EstimateRe
     study. The result is never floored.
     """
     denominator = counts_star.n11 + nu_hat
+    if denominator == math.inf:
+        raise ValueError(f"nu_hat must be finite, got {nu_hat}")
     if not denominator > 0:
         raise NonPositiveCorrectedMatches(
             f"corrected match count n11 + nu_hat = {denominator} is not positive"

@@ -109,8 +109,10 @@ class NuEstimate:
     sigma2_eps: float
 
     def __post_init__(self):
-        if not self.sigma2_eps >= 0:
-            raise ValueError(f"sigma2_eps must be >= 0, got {self.sigma2_eps}")
+        if not math.isfinite(self.nu_hat):
+            raise ValueError(f"nu_hat must be finite, got {self.nu_hat}")
+        if not 0 <= self.sigma2_eps < math.inf:
+            raise ValueError(f"sigma2_eps must be finite and >= 0, got {self.sigma2_eps}")
 
 
 def srswor_total_variance(frame_size: int, sample_size, unit_variance):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ContingencyCounts, ErrorRates
+from .estimators import ContingencyCounts, ErrorRates, integer_count
 from .rematch import RematchSample, SampleTooSmall
 
 # Not called here: perfbench's traced run swaps wrappers for these names
@@ -72,6 +72,8 @@ class ScenarioConfig:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
         ErrorRates(self.fnr, self.fpr)  # raises on rates outside [0, 1]
+        for name in ("seed", "N", "iterations"):
+            object.__setattr__(self, name, integer_count(name, getattr(self, name)))
         # numpy's hypergeometric sampler, which draws the rematch tallies,
         # takes frames of fewer than 10**9 records.
         if not 0 <= self.N < 10**9:

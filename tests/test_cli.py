@@ -376,3 +376,96 @@ class TestPlanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite and positive" in captured.err
+
+
+PLAN_ARGS = ["plan", "--n1", "900", "--p1", "0.9", "--p2", "0.8", "--N", "1000",
+             "--fnr", "0.02", "--fpr", "0.05", "--target-rse"]
+ESTIMATE_ARGS = ["estimate", "--n1", "900", "--n2", "800"]
+SIMULATE_ARGS = ["simulate", "--iterations", "5", "--seed", "1", "--output", "out.csv"]
+EXPECTED_FAILURES = [
+    pytest.param(
+        ESTIMATE_ARGS + ["--m", "0"],
+        "error: ZeroMatches: n11 = 0: the two lists share no linked records\n",
+        id="zero-matches",
+    ),
+    pytest.param(
+        ESTIMATE_ARGS + ["--m", "702", "--alpha", "0.95"],
+        "error: ValueError: --alpha and --beta must be given together\n",
+        id="alpha-without-beta",
+    ),
+    pytest.param(
+        ESTIMATE_ARGS + ["--m", "710", "--rematch", "missing.csv"],
+        "error: FileNotFoundError: [Errno 2] No such file or directory: 'missing.csv'\n",
+        id="missing-rematch-file",
+    ),
+    pytest.param(
+        ESTIMATE_ARGS + ["--m", "710", "--rematch", "codes.csv"],
+        "error: ValueError: codes.csv: row 2: code must be one of +1, -1, 0\n",
+        id="bad-code-row",
+    ),
+    pytest.param(
+        SIMULATE_ARGS + ["bad.csv"],
+        "error: ScenarioFileError: row 3: could not convert string to float: 'nope'\n",
+        id="malformed-scenario-row",
+    ),
+    pytest.param(
+        SIMULATE_ARGS[:-1] + ["missing_dir/out.csv", "scen.csv"],
+        "error: FileNotFoundError: [Errno 2] No such file or directory: "
+        "'missing_dir/out.csv'\n",
+        id="unwritable-output",
+    ),
+    pytest.param(
+        PLAN_ARGS + ["0.004"],
+        "error: Infeasible: target RSE 0.004 is below the no-linkage-error floor "
+        "0.00527046 (reached only at a census rematch)\n"
+        "minimum achievable rse: 0.005270\n",
+        id="infeasible-plan",
+    ),
+    pytest.param(
+        PLAN_ARGS + ["nan"],
+        "error: ValueError: target_rse must be finite and positive, got nan\n",
+        id="plan-nan-target",
+    ),
+    pytest.param(
+        SIMULATE_ARGS + ["--threads", "0", "scen.csv"],
+        "error: ValueError: --threads must be an integer >= 1, got 0\n",
+        id="zero-threads",
+    ),
+    pytest.param(
+        SIMULATE_ARGS + ["--precision", "-1", "scen.csv"],
+        "error: ValueError: --precision must be >= 0, got -1\n",
+        id="negative-precision",
+    ),
+    pytest.param(
+        SIMULATE_ARGS + ["latin1.csv"],
+        "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xe9 in position 43: "
+        "invalid continuation byte\n",
+        id="non-utf8-scenario-file",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected_err", EXPECTED_FAILURES)
+def test_expected_failure_is_one_error_line_and_exit_1(
+    tmp_path, monkeypatch, capsys, argv, expected_err
+):
+    """Every expected failure leaves `main` the same way: exit 1, nothing on
+    stdout, the diagnostic on stderr, and no result file."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "codes.csv").write_text("0\n2\n", encoding="utf-8")
+    write_scenarios(tmp_path / "scen.csv", ["0.9,0.8,0.02,0.05,0.2"])
+    write_scenarios(tmp_path / "bad.csv", ["0.9,0.8,0.02,0.05,0.2", "0.9,0.8,nope,0.05,0.2"])
+    (tmp_path / "latin1.csv").write_bytes(
+        "p1,p2,fnr,fpr,f\n0.9,0.8,0.02,0.05,0.2\n# café\n".encode("latin-1")
+    )
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected_err)
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_negative_precision_rejected_before_scenarios_load(capsys):
+    code = main(["simulate", "/nonexistent/scenarios.csv", "--precision", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: ValueError: --precision must be >= 0, got -1\n"

@@ -142,6 +142,12 @@ class TestNaiveCorrected:
         with pytest.raises(NonPositiveCorrectedMatches):
             naive_corrected(ContingencyCounts(900, 800, 10), math.nan)
 
+    def test_infinite_correction_rejected(self):
+        with pytest.raises(ValueError, match="nu_hat must be finite, got inf"):
+            naive_corrected(ContingencyCounts(900, 800, 10), math.inf)
+        with pytest.raises(NonPositiveCorrectedMatches):
+            naive_corrected(ContingencyCounts(900, 800, 10), -math.inf)
+
 
 class TestDingFienberg:
     def test_no_error_reduces_to_dse(self):

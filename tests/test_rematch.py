@@ -278,3 +278,13 @@ def test_nu_estimate_carrier():
 def test_nu_estimate_rejects_invalid_variance(sigma2_eps):
     with pytest.raises(ValueError):
         NuEstimate(1.0, sigma2_eps)
+
+
+@pytest.mark.parametrize(
+    "nu_hat, sigma2_eps, message",
+    [(math.nan, 1.0, "nu_hat"), (math.inf, 1.0, "nu_hat"), (-math.inf, 1.0, "nu_hat"),
+     (1.0, math.inf, "sigma2_eps")],
+)
+def test_nu_estimate_rejects_non_finite(nu_hat, sigma2_eps, message):
+    with pytest.raises(ValueError, match=f"{message} must be finite"):
+        NuEstimate(nu_hat, sigma2_eps)

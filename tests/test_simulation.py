@@ -6,6 +6,7 @@ import pytest
 from dse_link import (
     ContingencyCounts,
     EstimationError,
+    InvalidCounts,
     RematchSample,
     ScenarioConfig,
     TrueLinkageState,
@@ -286,6 +287,20 @@ class TestScenarioConfig:
         make_config(N=10**9 - 1)
         with pytest.raises(ValueError, match="N must lie in"):
             make_config(N=10**9)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("N", 1000.5), ("iterations", 2.5), ("seed", 1.5),
+         ("N", True), ("iterations", True), ("seed", True)],
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        with pytest.raises(InvalidCounts, match=f"{name} must be an integer"):
+            make_config(**{name: value})
+
+    @pytest.mark.parametrize("name", ["N", "iterations", "seed"])
+    def test_numpy_integer_count_stored_as_int(self, name):
+        value = getattr(make_config(**{name: np.int64(1000)}), name)
+        assert type(value) is int and value == 1000
 
 
 def count_tuples(max_list_size):
