@@ -50,6 +50,16 @@ def bundled_scenario_path() -> str:
     return str(files("dse_link").joinpath("data/table1.csv"))
 
 
+def _flag_count(flag: str, value) -> int:
+    """``value`` of ``flag`` as ``ScenarioConfig`` checks the field it sets;
+    an error names the flag."""
+    field = {"--population": "N", "--iterations": "iterations", "--seed": "seed"}[flag]
+    try:
+        return ScenarioConfig.check_count(field, value)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {value}: {exc}") from exc
+
+
 def load_scenario_file(
     path: str,
     default_iterations: int,
@@ -59,8 +69,12 @@ def load_scenario_file(
     """Parse a scenario CSV with header p1,p2,fnr,fpr,f[,iterations,seed].
 
     Per-row iterations/seed override the global defaults. Errors name the
-    offending physical row.
+    offending physical row. The defaults and ``population`` are the
+    --iterations, --seed and --population values: ``population`` is
+    checked before the file is read, a default when a row takes it, and
+    their errors name the flag.
     """
+    population = _flag_count("--population", population)
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle, restkey="_extra")
         header = reader.fieldnames
@@ -83,13 +97,9 @@ def load_scenario_file(
                 raise ScenarioFileError(
                     f"row {line}: every required column needs a value"
                 )
+            iterations = row.get("iterations") or _flag_count("--iterations", default_iterations)
+            seed = row.get("seed") or _flag_count("--seed", default_seed)
             try:
-                iterations = (
-                    int(row["iterations"])
-                    if row.get("iterations")
-                    else default_iterations
-                )
-                seed = int(row["seed"]) if row.get("seed") else default_seed
                 configs.append(
                     ScenarioConfig(
                         p1plus=float(row["p1"]),
@@ -97,9 +107,9 @@ def load_scenario_file(
                         fnr=float(row["fnr"]),
                         fpr=float(row["fpr"]),
                         f=float(row["f"]),
-                        seed=seed,
+                        seed=int(seed),
                         N=population,
-                        iterations=iterations,
+                        iterations=int(iterations),
                     )
                 )
             except ValueError as exc:

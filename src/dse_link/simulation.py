@@ -26,6 +26,14 @@ SeedSequence, so results are a pure function of the config. ``threads``
 is accepted for compatibility and changes neither the output nor the
 speed.
 
+Runs that share a seed are therefore common random numbers: runs that
+agree on (N, p1plus, pplus1) draw the same capture cells, and runs that
+also agree on (fnr, fpr) the same linkage errors. ``run_scenario`` keeps
+the previous run's two stages, chunk by chunk (about 40 bytes per
+iteration), and reuses a stage whose inputs all match, restoring the
+generator to its state after that stage. The output is bit-identical to
+a fresh draw.
+
 ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
 simulate one iteration record by record. ``run_scenario`` does not call
 them: they are the reference oracle the count-level draws are tested
@@ -35,6 +43,7 @@ against.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,16 +81,23 @@ class ScenarioConfig:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {value}")
         ErrorRates(self.fnr, self.fpr)  # raises on rates outside [0, 1]
-        for name in ("seed", "N", "iterations"):
-            object.__setattr__(self, name, integer_count(name, getattr(self, name)))
+        for name in ("N", "iterations", "seed"):
+            object.__setattr__(self, name, self.check_count(name, getattr(self, name)))
+
+    @staticmethod
+    def check_count(name: str, value) -> int:
+        """``value`` as the int that field ``name`` (N, iterations or seed)
+        holds; ValueError if it is not a valid one."""
+        value = integer_count(name, value)
         # numpy's hypergeometric sampler, which draws the rematch tallies,
         # takes frames of fewer than 10**9 records.
-        if not 0 <= self.N < 10**9:
-            raise ValueError(f"N must lie in [0, 10**9), got {self.N}")
-        if not self.iterations >= 1:
-            raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if name == "N" and not 0 <= value < 10**9:
+            raise ValueError(f"N must lie in [0, 10**9), got {value}")
+        if name == "iterations" and not value >= 1:
+            raise ValueError(f"iterations must be >= 1, got {value}")
+        if name == "seed" and not 0 <= value < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {value}")
+        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,18 +216,32 @@ def draw_rematch(
     return RematchSample(state.source1_codes[indices], n1plus=n1plus)
 
 
-def _draw_counts(config: ScenarioConfig, rng: np.random.Generator, size: int) -> dict:
-    """Draw ``size`` iterations' counts, as int64 arrays, from the law of
-    ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
-    composed: the keyword arguments of ``_estimate_counts``."""
+def _draw_cells(config: ScenarioConfig, rng: np.random.Generator, size: int) -> tuple:
+    """Capture cells (n11, n10, n01) of ``size`` iterations, as int64
+    arrays."""
     p1, p2 = config.p1plus, config.pplus1
     cells = rng.multinomial(
         config.N, [p1 * p2, p1 * (1 - p2), (1 - p1) * p2, (1 - p1) * (1 - p2)], size=size
     )
-    n11, n10, n01 = cells[:, 0], cells[:, 1], cells[:, 2]
+    # n00 is unobservable, so a contiguous copy holds 24 bytes per iteration.
+    return tuple(np.ascontiguousarray(cells[:, :3].T))
+
+
+def _draw_errors(config: ScenarioConfig, rng: np.random.Generator, cells: tuple) -> tuple:
+    """Missed and spurious links (pi, eta) of each iteration, as int64
+    arrays."""
+    n11, n10, _ = cells
+    return rng.binomial(n11, config.fnr), rng.binomial(n10, config.fpr)
+
+
+def _draw_tallies(
+    config: ScenarioConfig, rng: np.random.Generator, cells: tuple, errors: tuple
+) -> dict:
+    """Draw the rematch tallies given the capture cells and linkage errors,
+    and return the keyword arguments of ``_estimate_counts``."""
+    n11, n10, n01 = cells
+    pi, eta = errors
     n1plus = n11 + n10
-    pi = rng.binomial(n11, config.fnr)
-    eta = rng.binomial(n10, config.fpr)
     # draw_rematch's sample size. A frame of fewer than 2 records excludes
     # the iteration; capping n_r at the frame keeps its draw defined.
     n_r = np.maximum(2, np.floor(config.f * n1plus + 0.5).astype(np.int64))
@@ -222,6 +252,14 @@ def _draw_counts(config: ScenarioConfig, rng: np.random.Generator, size: int) ->
         n1plus=n1plus, nplus1=n11 + n01, n11=n11, pi=pi, eta=eta,
         n_r=n_r, plus=plus, minus=minus,
     )
+
+
+def _draw_counts(config: ScenarioConfig, rng: np.random.Generator, size: int) -> dict:
+    """Draw ``size`` iterations' counts, as int64 arrays, from the law of
+    ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
+    composed: the keyword arguments of ``_estimate_counts``."""
+    cells = _draw_cells(config, rng, size)
+    return _draw_tallies(config, rng, cells, _draw_errors(config, rng, cells))
 
 
 def _estimate_counts(
@@ -284,6 +322,28 @@ def _stats(values: np.ndarray, population: int) -> EstimatorStats:
     return EstimatorStats(mean, erb, erse)
 
 
+def _stage(held: tuple | None, key: tuple, rng: np.random.Generator, draw) -> tuple:
+    """One chunk's stage as ``(key, draws, state)``: the inputs that
+    determine the draws, the draws, and the generator state right after
+    them. That is ``held`` with ``rng`` set to its state, if ``held`` was
+    drawn under ``key``; otherwise ``draw()``'s arrays, made read-only."""
+    if held is not None and held[0] == key:
+        rng.bit_generator.state = held[2]
+        return held
+    draws = draw()
+    for array in draws:
+        array.flags.writeable = False
+    return key, draws, rng.bit_generator.state
+
+
+# The last scenario's capture and error stages, by chunk index: rows that
+# share a seed share those draws (see run_scenario). Each entry is
+# immutable and replaced whole under the lock, so concurrent runs stay
+# pure functions of their configs.
+_held: dict[int, tuple[tuple, tuple]] = {}
+_held_lock = threading.Lock()
+
+
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     """Run one scenario and aggregate ERB / ERSE / ARSE in percent.
 
@@ -295,6 +355,14 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
 
     Results depend only on the config. ``threads`` is accepted for
     compatibility and changes neither the output nor the speed.
+
+    Runs that share a seed share draws: the capture cells when they agree
+    on (N, p1plus, pplus1), the linkage errors when they also agree on
+    (fnr, fpr). Each chunk reuses the previous run's stages whose inputs
+    all match and restores the generator to its state after them, so the
+    output is bit-identical to a fresh draw. Between runs the last run's
+    stages are held, about 40 bytes per iteration; chunk k's entry is
+    replaced as the run passes chunk k.
     """
     R = config.iterations
     streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
@@ -302,11 +370,26 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     results = np.empty((4, R))
     for k, stream in enumerate(streams):
         rows = slice(k * CHUNK, min(R, (k + 1) * CHUNK))
-        counts = _draw_counts(config, np.random.default_rng(stream), rows.stop - rows.start)
+        size = rows.stop - rows.start
+        rng = np.random.default_rng(stream)
+        cells_key = (config.seed, k, size, config.N, config.p1plus, config.pplus1)
+        with _held_lock:
+            held_cells, held_errors = _held.pop(k, (None, None))
+        cells = _stage(held_cells, cells_key, rng, lambda: _draw_cells(config, rng, size))
+        errors = _stage(
+            held_errors, cells_key + (config.fnr, config.fpr), rng,
+            lambda: _draw_errors(config, rng, cells[1]),
+        )
+        with _held_lock:
+            _held[k] = cells, errors
+        counts = _draw_tallies(config, rng, cells[1], errors[1])
         ok[rows], estimates = _estimate_counts(**counts)
         results[:, rows] = [
             estimates[name] for name in ("dse", "uncorrected", "corrected", "variance")
         ]
+    with _held_lock:
+        for k in [k for k in _held if k >= len(streams)]:
+            del _held[k]
 
     completed = int(np.count_nonzero(ok))
     est_true, est_uncorrected, est_corrected, variances = results[:, ok]

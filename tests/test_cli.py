@@ -469,3 +469,60 @@ def test_negative_precision_rejected_before_scenarios_load(capsys):
     code = main(["simulate", "/nonexistent/scenarios.csv", "--precision", "-1"])
     assert code == 1
     assert capsys.readouterr().err == "error: ValueError: --precision must be >= 0, got -1\n"
+
+
+FLAG_FAILURES = [
+    pytest.param(
+        ["--population", "1000000000"],
+        "error: ValueError: --population 1000000000: N must lie in [0, 10**9), "
+        "got 1000000000\n",
+        id="population",
+    ),
+    pytest.param(
+        ["--iterations", "0"],
+        "error: ValueError: --iterations 0: iterations must be >= 1, got 0\n",
+        id="iterations",
+    ),
+    pytest.param(
+        ["--seed", "-1"],
+        "error: ValueError: --seed -1: seed must be a 64-bit unsigned integer, got -1\n",
+        id="seed",
+    ),
+]
+
+
+@pytest.mark.parametrize("flag, expected_err", FLAG_FAILURES)
+def test_flag_error_names_the_flag(tmp_path, monkeypatch, capsys, flag, expected_err):
+    monkeypatch.chdir(tmp_path)
+    write_scenarios(tmp_path / "scen.csv", ["0.9,0.8,0.02,0.05,0.2"])
+    assert main(SIMULATE_ARGS + flag + ["scen.csv"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected_err)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_population_checked_before_scenario_file_read(capsys):
+    code = main(["simulate", "/nonexistent/scenarios.csv", "--population", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: --population -1: N must lie in [0, 10**9), got -1\n"
+    )
+
+
+def test_flag_checked_only_where_a_row_takes_it(tmp_path, capsys):
+    path = write_scenarios(
+        tmp_path / "s.csv",
+        ["0.9,0.8,0.02,0.05,0.2,3,7", "0.8,0.7,0.05,0.08,0.1,4,8"],
+        header="p1,p2,fnr,fpr,f,iterations,seed",
+    )
+    assert main(["simulate", path, "--iterations", "0", "--seed", "-1"]) == 0
+    assert len(parse_results_csv(capsys.readouterr().out)[1]) == 2
+    partial = write_scenarios(
+        tmp_path / "t.csv",
+        ["0.9,0.8,0.02,0.05,0.2,3", "0.8,0.7,0.05,0.08,0.1,"],
+        header="p1,p2,fnr,fpr,f,iterations",
+    )
+    assert main(["simulate", partial, "--iterations", "0", "--seed", "1"]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: --iterations 0: iterations must be >= 1, got 0\n"
+    )

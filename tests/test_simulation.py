@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from dse_link import (
     naive_variance_estimate,
     run_scenario,
 )
+from dse_link import simulation
+from dse_link.cli import bundled_scenario_path, load_scenario_file
 from dse_link.simulation import CHUNK, _draw_counts, _estimate_counts
 
 
@@ -251,6 +255,109 @@ class TestRunScenario:
         assert summary.corrected.mean == pytest.approx(1000, rel=0.01)
         # uncorrected is biased upward by the net broken links
         assert summary.uncorrected.mean > summary.dse.mean
+
+
+def grid_configs(seed, iterations=500):
+    return load_scenario_file(bundled_scenario_path(), iterations, seed, 1000)
+
+
+def cold_run(config):
+    """``run_scenario`` with no draws held from earlier runs."""
+    simulation._held.clear()
+    return run_scenario(config)
+
+
+class TestHeldDraws:
+    """Rows that share a seed reuse each other's capture and error draws;
+    every summary must equal the row's cold run."""
+
+    def test_grid_rows_equal_cold_runs_in_any_order(self):
+        configs = grid_configs(seed=41)
+        cold = {config: cold_run(config) for config in configs}
+        for order in (configs, configs[::-1]):
+            simulation._held.clear()
+            for config in order:
+                assert run_scenario(config) == cold[config], config
+
+    def test_unrelated_scenarios_interleaved(self):
+        configs = grid_configs(seed=42)
+        sequence = []
+        for config in configs:
+            sequence += [
+                dataclasses.replace(config, seed=43),
+                config,
+                dataclasses.replace(config, N=999),
+                config,
+            ]
+        # two chunks, before and after rows of one chunk
+        for config in configs[:3]:
+            sequence += [dataclasses.replace(config, iterations=CHUNK + 1), config]
+        sequence.append(dataclasses.replace(configs[2], iterations=CHUNK + 1))
+        cold = {config: cold_run(config) for config in set(sequence)}
+        simulation._held.clear()
+        for config in sequence:
+            assert run_scenario(config) == cold[config], config
+
+    def test_grid_draws_each_distinct_stage_once(self, monkeypatch):
+        calls = {"multinomial": 0, "binomial": 0}
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                method = getattr(self.rng, name)
+                if name not in calls:
+                    return method
+
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return method(*args, **kwargs)
+
+                return counted
+
+        monkeypatch.setattr(
+            simulation.np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed))
+        )
+        simulation._held.clear()
+        for config in grid_configs(seed=44):
+            run_scenario(config)
+        # 2 capture levels; 2 x 3 (capture level, error mix) pairs, each
+        # two binomial draws
+        assert calls == {"multinomial": 2, "binomial": 2 * 6}
+
+    def test_holds_only_the_last_run_read_only(self):
+        simulation._held.clear()
+        run_scenario(make_config(iterations=CHUNK + 1))
+        assert sorted(simulation._held) == [0, 1]
+        run_scenario(make_config(iterations=10))
+        assert sorted(simulation._held) == [0]
+        for _, draws, _ in simulation._held[0]:
+            for array in draws:
+                assert not array.flags.writeable
+
+    def test_concurrent_threads_match_serial(self):
+        # rows long enough for the threads to switch inside them
+        configs = grid_configs(seed=45, iterations=5000)
+        serial = [cold_run(config) for config in configs]
+        results = {}
+        barrier = threading.Barrier(2)
+
+        def run(name, order):
+            barrier.wait()
+            results[name] = {config: run_scenario(config) for config in order}
+
+        threads = [
+            threading.Thread(target=run, args=("forward", configs)),
+            threading.Thread(target=run, args=("reverse", configs[::-1])),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for name in ("forward", "reverse"):
+            assert [results[name][config] for config in configs] == serial, name
 
 
 class TestScenarioConfig:
