@@ -169,12 +169,13 @@ def _cells(row, precision: int) -> list[str]:
     return cells
 
 
-def render_csv(rows: list, seed: int, precision: int = 2) -> str:
+def render_csv(rows: list, seed: int | None, precision: int = 2) -> str:
     """Serialize the results table; ``rows`` are objects with one attribute
     per ``RESULT_COLUMNS`` entry. Metric columns use ``precision``
-    decimals."""
+    decimals. A ``seed`` of None writes no ``# seed=`` line."""
     out = io.StringIO()
-    out.write(f"# seed={seed}\n")
+    if seed is not None:
+        out.write(f"# seed={seed}\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
     for row in rows:
@@ -182,8 +183,8 @@ def render_csv(rows: list, seed: int, precision: int = 2) -> str:
     return out.getvalue()
 
 
-def render_markdown(rows: list, seed: int) -> str:
-    lines = [f"seed = {seed}", ""]
+def render_markdown(rows: list, seed: int | None) -> str:
+    lines = [] if seed is None else [f"seed = {seed}", ""]
     lines.append("| " + " | ".join(RESULT_COLUMNS) + " |")
     lines.append("|" + "|".join([" --- "] * len(RESULT_COLUMNS)) + "|")
     for row in rows:
@@ -275,6 +276,9 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else secrets.randbits(64)
     path = args.scenario if args.scenario is not None else bundled_scenario_path()
     configs = load_scenario_file(path, args.iterations, seed, args.population)
+    # the header names the default seed only if some row ran at it
+    if all(config.seed != seed for config in configs):
+        seed = None
 
     rows = []
     for config in configs:

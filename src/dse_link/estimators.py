@@ -149,6 +149,11 @@ class EstimateReport:
         return math.sqrt(self.variance) / self.n_hat
 
 
+def dual_system_ratio(n1plus, nplus1, matches):
+    """n1plus * nplus1 / matches, on Python numbers or numpy arrays."""
+    return n1plus * nplus1 / matches
+
+
 def dse(counts: ContingencyCounts, floor: bool = False) -> EstimateReport:
     """Dual system (two-list) estimate n1plus * nplus1 / n11.
 
@@ -159,7 +164,7 @@ def dse(counts: ContingencyCounts, floor: bool = False) -> EstimateReport:
     """
     if counts.n11 < 1:
         raise ZeroMatches("n11 = 0: the two lists share no linked records")
-    estimate = counts.n1plus * counts.nplus1 / counts.n11
+    estimate = dual_system_ratio(counts.n1plus, counts.nplus1, counts.n11)
     if floor:
         estimate = float(math.floor(estimate))
     return EstimateReport(estimate)
@@ -180,7 +185,8 @@ def naive_corrected(counts_star: ContingencyCounts, nu_hat: float) -> EstimateRe
         raise NonPositiveCorrectedMatches(
             f"corrected match count n11 + nu_hat = {denominator} is not positive"
         )
-    return EstimateReport(counts_star.n1plus * counts_star.nplus1 / denominator)
+    estimate = dual_system_ratio(counts_star.n1plus, counts_star.nplus1, denominator)
+    return EstimateReport(estimate)
 
 
 def ding_fienberg(

@@ -91,14 +91,9 @@ class RematchSample:
 
     @property
     def s2_y(self) -> float:
-        """Sample variance of the codes, divisor n_r - 1.
-
-        Computed from the exact integer sums: with codes in {+1, -1, 0},
-        sum(y**2) is just the nonzero count.
-        """
+        """Sample variance of the codes, divisor n_r - 1, from exact integer sums."""
         total = int(self.outcomes.sum())
-        sum_sq = int(np.count_nonzero(self.outcomes))
-        return (sum_sq - total * total / self.n_r) / (self.n_r - 1)
+        return code_variance(total, int(np.count_nonzero(self.outcomes)), self.n_r)
 
 
 @dataclass(frozen=True)
@@ -115,7 +110,17 @@ class NuEstimate:
             raise ValueError(f"sigma2_eps must be finite and >= 0, got {self.sigma2_eps}")
 
 
-def srswor_total_variance(frame_size: int, sample_size, unit_variance):
+def expansion_total(frame_size, sample_size, total):
+    """Expansion estimate of a frame total, on Python numbers or numpy arrays."""
+    return frame_size / sample_size * total
+
+
+def code_variance(total, nonzero, sample_size):
+    """Sample variance of {+1, -1, 0} codes from their sum and nonzero count."""
+    return (nonzero - total * total / sample_size) / (sample_size - 1)
+
+
+def srswor_total_variance(frame_size, sample_size, unit_variance):
     """Variance of the expansion estimator of a population total under
     simple random sampling without replacement:
 
@@ -123,7 +128,8 @@ def srswor_total_variance(frame_size: int, sample_size, unit_variance):
 
     with f = sample_size / frame_size. Exact when ``unit_variance`` is the
     population unit variance (divisor frame_size - 1); plugging in the
-    sample variance gives the standard unbiased estimate.
+    sample variance gives the standard unbiased estimate. The arguments
+    may be Python numbers or numpy arrays.
     """
     f = sample_size / frame_size
     return frame_size**2 * (1.0 - f) / sample_size * unit_variance
@@ -137,8 +143,7 @@ def ht_nu(sample: RematchSample) -> NuEstimate:
     estimated variance n1plus**2 * (1 - f) / n_r * s2_y. A census rematch
     (n_r = n1plus) has zero variance exactly.
     """
-    total = int(sample.outcomes.sum())
-    nu_hat = sample.n1plus / sample.n_r * total
+    nu_hat = expansion_total(sample.n1plus, sample.n_r, int(sample.outcomes.sum()))
     sigma2 = float(srswor_total_variance(sample.n1plus, sample.n_r, sample.s2_y))
     return NuEstimate(nu_hat, sigma2)
 

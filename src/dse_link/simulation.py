@@ -17,8 +17,8 @@ iterations at a time, and never builds the records:
   hypergeometric draw of n_r records from a frame of pi, eta and
   n1plus - pi - eta records, drawn as two chained hypergeometric draws.
 
-The estimates are array expressions with the scalar functions' operation
-order, so the same counts give bit-identical estimates.
+The estimates come from the formula functions that the scalar API
+calls, so the same counts give bit-identical estimates.
 
 Random streams are keyed by chunk: chunk k, iterations
 [k * CHUNK, (k + 1) * CHUNK), draws from child k of the seed's
@@ -48,8 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ContingencyCounts, ErrorRates, integer_count
-from .rematch import RematchSample, SampleTooSmall
+from .estimators import ContingencyCounts, ErrorRates, dual_system_ratio, integer_count
+from .rematch import RematchSample, SampleTooSmall, code_variance, expansion_total
+from .rematch import srswor_total_variance
+from .variance import linearized_variance
 
 # Not called here: perfbench's traced run swaps wrappers for these names
 # into this module's namespace, so they must stay importable from it.
@@ -268,36 +270,30 @@ def _estimate_counts(
     """Estimates over arrays of per-iteration counts: the true table, the
     injected errors, the rematch sample size and its +1 and -1 tallies.
 
-    Each value repeats the operations of ``dse``, ``ht_nu``,
-    ``naive_corrected`` or ``naive_variance_estimate`` in their order, so
-    the same counts give bit-identical values while products of two counts
-    stay below 2**53. Returns ``(ok, estimates)``: ``ok`` marks the
-    iterations where neither those calls nor ``inject_linkage_errors`` and
-    ``draw_rematch`` raise EstimationError; ``estimates`` maps ``dse``,
-    ``uncorrected``, ``nu_hat``, ``sigma2_eps``, ``corrected`` and
-    ``variance`` to arrays whose entries are meaningful only where ``ok``.
+    The values come from the scalar path's formula functions, so they are
+    bit-identical to it while products of two counts stay below 2**53.
+    Returns ``(ok, estimates)``: ``ok`` marks the iterations where neither
+    ``dse``, ``ht_nu``, ``naive_corrected``, ``naive_variance_estimate``,
+    ``inject_linkage_errors`` nor ``draw_rematch`` raises EstimationError;
+    ``estimates`` maps ``dse``, ``uncorrected``, ``nu_hat``, ``sigma2_eps``,
+    ``corrected`` and ``variance`` to arrays meaningful only where ``ok``.
     """
     n11_star = n11 - pi + eta
     total = plus - minus
-    margin_product = n1plus * nplus1
     with np.errstate(divide="ignore", invalid="ignore"):
-        nu_hat = n1plus / n_r * total
-        s2_y = (plus + minus - total * total / n_r) / (n_r - 1)
-        sigma2 = n1plus**2 * (1.0 - n_r / n1plus) / n_r * s2_y
+        nu_hat = expansion_total(n1plus, n_r, total)
+        sigma2 = srswor_total_variance(n1plus, n_r, code_variance(total, plus + minus, n_r))
         corrected_matches = n11_star + nu_hat
-        corrected = margin_product / corrected_matches
-        p1_hat = n1plus / corrected
-        p2_hat = nplus1 / corrected
-        variance = corrected * ((1.0 - p1_hat) * (1.0 - p2_hat)) / (
-            p1_hat * p2_hat
-        ) + sigma2 / (p1_hat * p2_hat) ** 2
+        corrected = dual_system_ratio(n1plus, nplus1, corrected_matches)
         estimates = dict(
-            dse=margin_product / n11,
-            uncorrected=margin_product / n11_star,
+            dse=dual_system_ratio(n1plus, nplus1, n11),
+            uncorrected=dual_system_ratio(n1plus, nplus1, n11_star),
             nu_hat=nu_hat,
             sigma2_eps=sigma2,
             corrected=corrected,
-            variance=variance,
+            variance=linearized_variance(
+                corrected, n1plus / corrected, nplus1 / corrected, sigma2
+            ),
         )
     ok = (
         (n1plus >= 2)

@@ -57,12 +57,16 @@ def multinomial_moments(N: float, capture: CaptureProbabilities) -> MultinomialM
     )
 
 
+def linearized_variance(N, p1plus, pplus1, sigma2_eps):
+    """``naive_variance_approx`` unchecked, on Python numbers or numpy arrays."""
+    p11 = p1plus * pplus1
+    return N * ((1.0 - p1plus) * (1.0 - pplus1)) / p11 + sigma2_eps / p11**2
+
+
 def dse_variance_approx(N: float, capture: CaptureProbabilities) -> float:
-    """Linearized variance of the dual system estimator:
-    N * p0plus * pplus0 / (p1plus * pplus1)."""
-    if not N > 0:
-        raise ValueError(f"N must be positive, got {N}")
-    return N * (capture.p0plus * capture.pplus0) / (capture.p1plus * capture.pplus1)
+    """Linearized variance of the dual system estimator,
+    N * p0plus * pplus0 / (p1plus * pplus1): the corrected one's at sigma2_eps = 0."""
+    return naive_variance_approx(N, capture, 0.0)
 
 
 def naive_variance_approx(
@@ -75,9 +79,9 @@ def naive_variance_approx(
     """
     if not sigma2_eps >= 0:
         raise ValueError(f"sigma2_eps must be >= 0, got {sigma2_eps}")
-    return dse_variance_approx(N, capture) + sigma2_eps / (
-        capture.p1plus * capture.pplus1
-    ) ** 2
+    if not N > 0:
+        raise ValueError(f"N must be positive, got {N}")
+    return linearized_variance(N, capture.p1plus, capture.pplus1, sigma2_eps)
 
 
 def naive_variance_estimate(

@@ -526,3 +526,36 @@ def test_flag_checked_only_where_a_row_takes_it(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: ValueError: --iterations 0: iterations must be >= 1, got 0\n"
     )
+
+
+SEED_COLUMN = "p1,p2,fnr,fpr,f,iterations,seed"
+
+
+@pytest.mark.parametrize("seed_flag", [["--seed", "-1"], []], ids=["flag", "drawn"])
+def test_no_seed_line_when_every_row_sets_its_seed(tmp_path, capsys, seed_flag):
+    path = write_scenarios(
+        tmp_path / "s.csv",
+        ["0.9,0.8,0.02,0.05,0.2,3,7", "0.8,0.7,0.05,0.08,0.1,4,8"],
+        header=SEED_COLUMN,
+    )
+    assert main(["simulate", path] + seed_flag) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == ",".join(RESULT_COLUMNS)
+    seed, rows = parse_results_csv(out)
+    assert seed is None
+    assert len(rows) == 2
+    assert main(["simulate", path, "--format", "markdown"] + seed_flag) == 0
+    assert capsys.readouterr().out.startswith("| p1 | p2 |")
+
+
+@pytest.mark.parametrize("row_seed", ["", "7"], ids=["default", "same-value"])
+def test_seed_line_when_a_row_runs_at_the_default_seed(tmp_path, capsys, row_seed):
+    path = write_scenarios(
+        tmp_path / "s.csv",
+        ["0.9,0.8,0.02,0.05,0.2,3,9", f"0.8,0.7,0.05,0.08,0.1,4,{row_seed}"],
+        header=SEED_COLUMN,
+    )
+    assert main(["simulate", path, "--seed", "7"]) == 0
+    assert parse_results_csv(capsys.readouterr().out)[0] == 7
+    assert main(["simulate", path, "--seed", "7", "--format", "markdown"]) == 0
+    assert capsys.readouterr().out.startswith("seed = 7\n")

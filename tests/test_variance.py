@@ -138,6 +138,12 @@ class TestNaiveVarianceApprox:
         with pytest.raises(ValueError):
             naive_variance_approx(N, self.CAPTURE, sigma2)
 
+    def test_noise_checked_before_population(self):
+        with pytest.raises(ValueError, match=r"^sigma2_eps must be >= 0, got -1\.0$"):
+            naive_variance_approx(-1, self.CAPTURE, -1.0)
+        with pytest.raises(ValueError, match=r"^N must be positive, got -1$"):
+            dse_variance_approx(-1, self.CAPTURE)
+
 
 class TestNaiveVarianceEstimate:
     COUNTS = ContingencyCounts(900, 800, 710)
