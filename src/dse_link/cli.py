@@ -365,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=None,
-        help="master seed; omitted selects a random one, printed in the output header",
+        help="master seed; omitted selects a random one; printed in the output header "
+        "when a row runs at it",
     )
     sim.add_argument(
         "--threads",
