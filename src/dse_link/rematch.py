@@ -171,7 +171,8 @@ def plan_sample_size(
     sampling fraction approaches one.
 
     Raises Infeasible when even a census rematch misses the target; the
-    exception carries the minimum achievable RSE.
+    exception carries the minimum achievable RSE. Raises ValueError when
+    the target or the floor variance overflows a float.
     """
     n1plus = integer_count("n1plus", n1plus)
     if n1plus < 2:
@@ -190,8 +191,16 @@ def plan_sample_size(
         )
     s2 = (pi_bar + eta_bar) / n1plus - ((pi_bar - eta_bar) / n1plus) ** 2
 
-    target_variance = (target_rse * n_guess) ** 2
+    try:
+        target_variance = (target_rse * n_guess) ** 2
+    except OverflowError:  # float ** raises where float * returns inf
+        target_variance = math.inf
     floor_variance = naive_variance_approx(n_guess, capture, 0.0)
+    if not (math.isfinite(target_variance) and math.isfinite(floor_variance)):
+        raise ValueError(
+            f"variances overflow at n_guess={n_guess}: target {target_variance}, "
+            f"no-linkage-error floor {floor_variance}"
+        )
     if floor_variance > target_variance:
         min_rse = floor_variance**0.5 / n_guess
         raise Infeasible(

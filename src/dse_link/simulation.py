@@ -27,12 +27,14 @@ is accepted for compatibility and changes neither the output nor the
 speed.
 
 Runs that share a seed are therefore common random numbers: runs that
-agree on (N, p1plus, pplus1) draw the same capture cells, and runs that
-also agree on (fnr, fpr) the same linkage errors. ``run_scenario`` keeps
-the previous run's two stages, chunk by chunk (about 40 bytes per
-iteration), and reuses a stage whose inputs all match, restoring the
-generator to its state after that stage. The output is bit-identical to
-a fresh draw.
+agree on (N, p1plus, pplus1) draw the same capture cells, runs that also
+agree on fnr the same missed links, and runs that also agree on fpr the
+same spurious links. ``run_scenario`` keeps the previous run's three
+stages, chunk by chunk (about 40 bytes per iteration), and reuses a
+stage whose inputs all match, restoring the generator to its state after
+that stage. The output is bit-identical to a fresh draw. Of the
+estimates, each chunk keeps only those of its completed iterations, and
+each column is joined once at the end.
 
 ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
 simulate one iteration record by record. ``run_scenario`` does not call
@@ -229,11 +231,14 @@ def _draw_cells(config: ScenarioConfig, rng: np.random.Generator, size: int) -> 
     return tuple(np.ascontiguousarray(cells[:, :3].T))
 
 
-def _draw_errors(config: ScenarioConfig, rng: np.random.Generator, cells: tuple) -> tuple:
-    """Missed and spurious links (pi, eta) of each iteration, as int64
-    arrays."""
-    n11, n10, _ = cells
-    return rng.binomial(n11, config.fnr), rng.binomial(n10, config.fpr)
+def _draw_missed(config: ScenarioConfig, rng: np.random.Generator, cells: tuple) -> tuple:
+    """Missed links (pi,) of each iteration, as an int64 array."""
+    return (rng.binomial(cells[0], config.fnr),)
+
+
+def _draw_spurious(config: ScenarioConfig, rng: np.random.Generator, cells: tuple) -> tuple:
+    """Spurious links (eta,) of each iteration, as an int64 array."""
+    return (rng.binomial(cells[1], config.fpr),)
 
 
 def _draw_tallies(
@@ -261,7 +266,8 @@ def _draw_counts(config: ScenarioConfig, rng: np.random.Generator, size: int) ->
     ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
     composed: the keyword arguments of ``_estimate_counts``."""
     cells = _draw_cells(config, rng, size)
-    return _draw_tallies(config, rng, cells, _draw_errors(config, rng, cells))
+    errors = _draw_missed(config, rng, cells) + _draw_spurious(config, rng, cells)
+    return _draw_tallies(config, rng, cells, errors)
 
 
 def _estimate_counts(
@@ -307,6 +313,17 @@ def _estimate_counts(
     return ok, estimates
 
 
+def _completed_estimates(
+    config: ScenarioConfig, rng: np.random.Generator, cells: tuple, errors: tuple
+) -> list:
+    """Draw the rematch tallies and return the dse, uncorrected, corrected
+    and variance estimates of the iterations that no precondition
+    excludes. The chunk's other count and estimate arrays are freed as it
+    returns."""
+    ok, estimates = _estimate_counts(**_draw_tallies(config, rng, cells, errors))
+    return [estimates[name][ok] for name in ("dse", "uncorrected", "corrected", "variance")]
+
+
 def _stats(values: np.ndarray, population: int) -> EstimatorStats:
     if values.size == 0 or population <= 0:
         return EstimatorStats(None, None, None)
@@ -332,11 +349,11 @@ def _stage(held: tuple | None, key: tuple, rng: np.random.Generator, draw) -> tu
     return key, draws, rng.bit_generator.state
 
 
-# The last scenario's capture and error stages, by chunk index: rows that
-# share a seed share those draws (see run_scenario). Each entry is
-# immutable and replaced whole under the lock, so concurrent runs stay
-# pure functions of their configs.
-_held: dict[int, tuple[tuple, tuple]] = {}
+# The last scenario's capture, missed-link and spurious-link stages, by
+# chunk index: rows that share a seed share those draws (see
+# run_scenario). Each entry is immutable and replaced whole under the
+# lock, so concurrent runs stay pure functions of their configs.
+_held: dict[int, tuple[tuple, tuple, tuple]] = {}
 _held_lock = threading.Lock()
 
 
@@ -353,42 +370,47 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     compatibility and changes neither the output nor the speed.
 
     Runs that share a seed share draws: the capture cells when they agree
-    on (N, p1plus, pplus1), the linkage errors when they also agree on
-    (fnr, fpr). Each chunk reuses the previous run's stages whose inputs
-    all match and restores the generator to its state after them, so the
-    output is bit-identical to a fresh draw. Between runs the last run's
-    stages are held, about 40 bytes per iteration; chunk k's entry is
-    replaced as the run passes chunk k.
+    on (N, p1plus, pplus1), the missed links when they also agree on fnr,
+    and the spurious links when they also agree on fpr. Each chunk reuses
+    the previous run's stages whose inputs all match and restores the
+    generator to its state after the last of them, so the output is
+    bit-identical to a fresh draw. Between runs the last run's stages are
+    held, about 40 bytes per iteration; chunk k's entry is replaced as the
+    run passes chunk k. Each chunk keeps only its completed iterations'
+    estimates.
     """
     R = config.iterations
     streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
-    ok = np.empty(R, dtype=bool)
-    results = np.empty((4, R))
+    columns = [[], [], [], []]  # dse, uncorrected, corrected, variance
     for k, stream in enumerate(streams):
-        rows = slice(k * CHUNK, min(R, (k + 1) * CHUNK))
-        size = rows.stop - rows.start
+        size = min(R, (k + 1) * CHUNK) - k * CHUNK
         rng = np.random.default_rng(stream)
         cells_key = (config.seed, k, size, config.N, config.p1plus, config.pplus1)
+        missed_key = cells_key + (config.fnr,)
         with _held_lock:
-            held_cells, held_errors = _held.pop(k, (None, None))
-        cells = _stage(held_cells, cells_key, rng, lambda: _draw_cells(config, rng, size))
-        errors = _stage(
-            held_errors, cells_key + (config.fnr, config.fpr), rng,
-            lambda: _draw_errors(config, rng, cells[1]),
+            held = _held.pop(k, (None, None, None))
+        cells = _stage(held[0], cells_key, rng, lambda: _draw_cells(config, rng, size))
+        missed = _stage(
+            held[1], missed_key, rng, lambda: _draw_missed(config, rng, cells[1])
+        )
+        spurious = _stage(
+            held[2], missed_key + (config.fpr,), rng,
+            lambda: _draw_spurious(config, rng, cells[1]),
         )
         with _held_lock:
-            _held[k] = cells, errors
-        counts = _draw_tallies(config, rng, cells[1], errors[1])
-        ok[rows], estimates = _estimate_counts(**counts)
-        results[:, rows] = [
-            estimates[name] for name in ("dse", "uncorrected", "corrected", "variance")
-        ]
+            _held[k] = cells, missed, spurious
+        errors = missed[1] + spurious[1]
+        for i, values in enumerate(_completed_estimates(config, rng, cells[1], errors)):
+            columns[i].append(values)
     with _held_lock:
         for k in [k for k in _held if k >= len(streams)]:
             del _held[k]
 
-    completed = int(np.count_nonzero(ok))
-    est_true, est_uncorrected, est_corrected, variances = results[:, ok]
+    # Replacing each list of parts by its concatenation frees the parts.
+    for i in range(len(columns)):
+        columns[i] = np.concatenate(columns[i])
+    est_true, est_uncorrected, est_corrected, variances = columns
+    completed = est_true.size
     if completed and config.N > 0:
         arse = float(100.0 * np.sqrt(variances).mean() / config.N)
         arse_rmv = float(100.0 * math.sqrt(variances.mean()) / config.N)

@@ -75,12 +75,18 @@ def naive_variance_approx(
     """Linearized variance of the corrected estimator.
 
     Equals the dual-system term plus sigma2_eps / (p1plus * pplus1)**2,
-    where sigma2_eps is the variance of the rematch correction.
+    where sigma2_eps is the variance of the rematch correction. Raises
+    ValueError when (p1plus * pplus1)**2 underflows to 0.
     """
     if not sigma2_eps >= 0:
         raise ValueError(f"sigma2_eps must be >= 0, got {sigma2_eps}")
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
+    if not capture.p11**2 > 0:
+        raise ValueError(
+            f"(p1plus * pplus1)**2 underflows to 0 at p1plus={capture.p1plus}, "
+            f"pplus1={capture.pplus1}"
+        )
     return linearized_variance(N, capture.p1plus, capture.pplus1, sigma2_eps)
 
 

@@ -427,6 +427,20 @@ EXPECTED_FAILURES = [
         id="plan-nan-target",
     ),
     pytest.param(
+        ["plan", "--n1", "900", "--p1", "1e-160", "--p2", "0.5", "--N", "1e160",
+         "--fnr", "0", "--fpr", "0", "--target-rse", "0.5"],
+        "error: ValueError: variances overflow at n_guess=1e+160: target inf, "
+        "no-linkage-error floor inf\n",
+        id="plan-variance-overflow",
+    ),
+    pytest.param(
+        ["plan", "--n1", "900", "--p1", "1e-170", "--p2", "0.5", "--N", "1e100",
+         "--fnr", "0", "--fpr", "0", "--target-rse", "0.5"],
+        "error: ValueError: (p1plus * pplus1)**2 underflows to 0 at p1plus=1e-170, "
+        "pplus1=0.5\n",
+        id="plan-capture-underflow",
+    ),
+    pytest.param(
         SIMULATE_ARGS + ["--threads", "0", "scen.csv"],
         "error: ValueError: --threads must be an integer >= 1, got 0\n",
         id="zero-threads",

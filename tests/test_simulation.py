@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,9 +324,21 @@ class TestHeldDraws:
         simulation._held.clear()
         for config in grid_configs(seed=44):
             run_scenario(config)
-        # 2 capture levels; 2 x 3 (capture level, error mix) pairs, each
-        # two binomial draws
-        assert calls == {"multinomial": 2, "binomial": 2 * 6}
+        # 2 capture levels, each with 2 distinct fnr (missed-link draws)
+        # and 3 error mixes (spurious-link draws)
+        assert calls == {"multinomial": 2, "binomial": 2 * (2 + 3)}
+
+    def test_rows_sharing_one_rate_equal_cold_runs_in_every_order(self):
+        # each row shares fnr or fpr, never both, with some other row
+        configs = [
+            make_config(fnr=fnr, fpr=fpr, seed=46, iterations=200)
+            for fnr, fpr in [(0.05, 0.02), (0.05, 0.08), (0.02, 0.08), (0.02, 0.02)]
+        ]
+        cold = {config: cold_run(config) for config in configs}
+        for order in itertools.permutations(configs):
+            simulation._held.clear()
+            for config in order:
+                assert run_scenario(config) == cold[config], (order, config)
 
     def test_holds_only_the_last_run_read_only(self):
         simulation._held.clear()
@@ -336,6 +349,20 @@ class TestHeldDraws:
         for _, draws, _ in simulation._held[0]:
             for array in draws:
                 assert not array.flags.writeable
+
+    def test_cold_run_traced_peak_per_iteration(self):
+        # the held stages take 40 bytes per iteration and the completed
+        # estimates 32; a per-iteration buffer of every estimate would
+        # add 32 more
+        config = make_config(iterations=8 * CHUNK)
+        simulation._held.clear()
+        tracemalloc.start()
+        try:
+            run_scenario(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / config.iterations <= 105
 
     def test_concurrent_threads_match_serial(self):
         # rows long enough for the threads to switch inside them

@@ -144,6 +144,15 @@ class TestNaiveVarianceApprox:
         with pytest.raises(ValueError, match=r"^N must be positive, got -1$"):
             dse_variance_approx(-1, self.CAPTURE)
 
+    def test_rejects_capture_product_whose_square_underflows(self):
+        tiny = CaptureProbabilities(1e-170, 0.5)
+        with pytest.raises(ValueError, match=r"underflows to 0"):
+            naive_variance_approx(1e100, tiny, 0.0)
+        with pytest.raises(ValueError, match=r"^N must be positive, got -1$"):
+            naive_variance_approx(-1, tiny, 0.0)
+        # a subnormal (p1plus * pplus1)**2 is still accepted
+        assert naive_variance_approx(1.0, CaptureProbabilities(1e-160, 0.5), 0.0) > 0
+
 
 class TestNaiveVarianceEstimate:
     COUNTS = ContingencyCounts(900, 800, 710)
