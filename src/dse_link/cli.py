@@ -23,7 +23,7 @@ from .estimators import (
     ErrorRates,
 )
 from .rematch import Infeasible, RematchSample, ht_nu, plan_sample_size
-from .simulation import ScenarioConfig, SimulationSummary, run_scenario
+from .simulation import ScenarioConfig, SimulationSummary, _shared_draws, run_scenario
 from .variance import naive_variance_estimate
 
 SCENARIO_COLUMNS = ("p1", "p2", "fnr", "fpr", "f")
@@ -75,7 +75,7 @@ def load_scenario_file(
     their errors name the flag.
     """
     population = _flag_count("--population", population)
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle, restkey="_extra")
         header = reader.fieldnames
         if header is None:
@@ -122,7 +122,7 @@ def load_scenario_file(
 def load_rematch_codes(path: str) -> list[int]:
     """Parse a single-column CSV of outcome codes {+1, -1, 0}."""
     codes = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_num, line in enumerate(handle, start=1):
             token = line.strip()
             if not token:
@@ -281,19 +281,20 @@ def cmd_simulate(args) -> int:
         seed = None
 
     rows = []
-    for config in configs:
-        summary = run_scenario(config, threads=threads)
-        rows.append(summary_to_row(summary))
-        if args.verbose:
-            alt = summary.arse_root_mean_var_pct
-            print(
-                f"scenario p1={config.p1plus} p2={config.pplus1} "
-                f"fnr={config.fnr} fpr={config.fpr} f={config.f}: "
-                f"completed={summary.iterations_completed} "
-                f"arse_root_mean_var="
-                f"{'NA' if alt is None else format(alt, '.4f')}%",
-                file=sys.stderr,
-            )
+    with _shared_draws():
+        for config in configs:
+            summary = run_scenario(config, threads=threads)
+            rows.append(summary_to_row(summary))
+            if args.verbose:
+                alt = summary.arse_root_mean_var_pct
+                print(
+                    f"scenario p1={config.p1plus} p2={config.pplus1} "
+                    f"fnr={config.fnr} fpr={config.fpr} f={config.f}: "
+                    f"completed={summary.iterations_completed} "
+                    f"arse_root_mean_var="
+                    f"{'NA' if alt is None else format(alt, '.4f')}%",
+                    file=sys.stderr,
+                )
 
     if args.format == "csv":
         text = render_csv(rows, seed, precision=args.precision)

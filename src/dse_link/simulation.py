@@ -29,12 +29,9 @@ speed.
 Runs that share a seed are therefore common random numbers: runs that
 agree on (N, p1plus, pplus1) draw the same capture cells, runs that also
 agree on fnr the same missed links, and runs that also agree on fpr the
-same spurious links. ``run_scenario`` keeps the previous run's three
-stages, chunk by chunk (about 40 bytes per iteration), and reuses a
-stage whose inputs all match, restoring the generator to its state after
-that stage. The output is bit-identical to a fresh draw. Of the
-estimates, each chunk keeps only those of its completed iterations, and
-each column is joined once at the end.
+same spurious links. The rows of one ``dselink simulate`` call share
+those draws (see ``run_scenario``); a library call holds nothing after
+it returns.
 
 ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
 simulate one iteration record by record. ``run_scenario`` does not call
@@ -44,8 +41,9 @@ against.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -335,26 +333,34 @@ def _stats(values: np.ndarray, population: int) -> EstimatorStats:
     return EstimatorStats(mean, erb, erse)
 
 
-def _stage(held: tuple | None, key: tuple, rng: np.random.Generator, draw) -> tuple:
+def _stage(held: tuple | None, key: tuple, draw, config: ScenarioConfig, rng, arg) -> tuple:
     """One chunk's stage as ``(key, draws, state)``: the inputs that
     determine the draws, the draws, and the generator state right after
     them. That is ``held`` with ``rng`` set to its state, if ``held`` was
-    drawn under ``key``; otherwise ``draw()``'s arrays, made read-only."""
+    drawn under ``key``; otherwise ``draw(config, rng, arg)``'s arrays,
+    made read-only."""
     if held is not None and held[0] == key:
         rng.bit_generator.state = held[2]
         return held
-    draws = draw()
+    draws = draw(config, rng, arg)
     for array in draws:
         array.flags.writeable = False
     return key, draws, rng.bit_generator.state
 
 
-# The last scenario's capture, missed-link and spurious-link stages, by
-# chunk index: rows that share a seed share those draws (see
-# run_scenario). Each entry is immutable and replaced whole under the
-# lock, so concurrent runs stay pure functions of their configs.
-_held: dict[int, tuple[tuple, tuple, tuple]] = {}
-_held_lock = threading.Lock()
+# The open _shared_draws() block's stages by chunk, per thread; else None.
+_store: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_store", default=None)
+
+
+@contextlib.contextmanager
+def _shared_draws():
+    """Let the ``run_scenario`` calls in the block share draws, in a store
+    that is dropped as the block closes."""
+    token = _store.set({})
+    try:
+        yield
+    finally:
+        _store.reset(token)
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
@@ -369,42 +375,35 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     Results depend only on the config. ``threads`` is accepted for
     compatibility and changes neither the output nor the speed.
 
-    Runs that share a seed share draws: the capture cells when they agree
-    on (N, p1plus, pplus1), the missed links when they also agree on fnr,
-    and the spurious links when they also agree on fpr. Each chunk reuses
-    the previous run's stages whose inputs all match and restores the
-    generator to its state after the last of them, so the output is
-    bit-identical to a fresh draw. Between runs the last run's stages are
-    held, about 40 bytes per iteration; chunk k's entry is replaced as the
-    run passes chunk k. Each chunk keeps only its completed iterations'
-    estimates.
+    Inside a ``_shared_draws()`` block, runs that share a seed share
+    draws: the capture cells when they agree on (N, p1plus, pplus1), the
+    missed links when they also agree on fnr, and the spurious links when
+    they also agree on fpr. Each chunk reuses the previous run's stages
+    whose inputs all match and restores the generator to its state after
+    the last of them, so the output is bit-identical to a fresh draw. The
+    block holds the stages, about 40 bytes per iteration, until it closes.
+    Outside a block every stage is drawn afresh and nothing is held after
+    return. Each chunk keeps only its completed iterations' estimates.
     """
     R = config.iterations
     streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
     columns = [[], [], [], []]  # dse, uncorrected, corrected, variance
+    held = _store.get()
     for k, stream in enumerate(streams):
         size = min(R, (k + 1) * CHUNK) - k * CHUNK
         rng = np.random.default_rng(stream)
         cells_key = (config.seed, k, size, config.N, config.p1plus, config.pplus1)
         missed_key = cells_key + (config.fnr,)
-        with _held_lock:
-            held = _held.pop(k, (None, None, None))
-        cells = _stage(held[0], cells_key, rng, lambda: _draw_cells(config, rng, size))
-        missed = _stage(
-            held[1], missed_key, rng, lambda: _draw_missed(config, rng, cells[1])
-        )
-        spurious = _stage(
-            held[2], missed_key + (config.fpr,), rng,
-            lambda: _draw_spurious(config, rng, cells[1]),
-        )
-        with _held_lock:
-            _held[k] = cells, missed, spurious
+        last = (None,) * 3 if held is None else held.get(k, (None,) * 3)
+        cells = _stage(last[0], cells_key, _draw_cells, config, rng, size)
+        missed = _stage(last[1], missed_key, _draw_missed, config, rng, cells[1])
+        spurious_key = missed_key + (config.fpr,)
+        spurious = _stage(last[2], spurious_key, _draw_spurious, config, rng, cells[1])
+        if held is not None:
+            held[k] = cells, missed, spurious
         errors = missed[1] + spurious[1]
         for i, values in enumerate(_completed_estimates(config, rng, cells[1], errors)):
             columns[i].append(values)
-    with _held_lock:
-        for k in [k for k in _held if k >= len(streams)]:
-            del _held[k]
 
     # Replacing each list of parts by its concatenation frees the parts.
     for i in range(len(columns)):

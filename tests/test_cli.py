@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -80,6 +83,17 @@ class TestEstimateCommand:
         assert code != 0
         assert "row 2" in capsys.readouterr().err
 
+    def test_rematch_codes_after_byte_order_mark(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start with a byte-order mark
+        codes = tmp_path / "codes.csv"
+        codes.write_text("\n".join(["+1"] + ["0"] * 89) + "\n", encoding="utf-8-sig")
+        code = main(
+            ["estimate", "--n1", "900", "--n2", "800", "--m", "710",
+             "--rematch", str(codes), "--json"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["nu_hat"] == 10.0
+
     def test_inconsistent_counts_diagnostic(self, capsys):
         code = main(["estimate", "--n1", "100", "--n2", "800", "--m", "710"])
         assert code != 0
@@ -117,6 +131,13 @@ class TestScenarioFile:
         )
         with pytest.raises(ValueError, match="row 3"):
             load_scenario_file(path, 10, 3, 1000)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        rows = ["0.9,0.8,0.02,0.05,0.2"]
+        plain = write_scenarios(tmp_path / "plain.csv", rows)
+        marked = tmp_path / "marked.csv"
+        marked.write_text((tmp_path / "plain.csv").read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert load_scenario_file(str(marked), 10, 3, 1000) == load_scenario_file(plain, 10, 3, 1000)
 
     def test_bundled_grid_has_twelve_rows(self):
         configs = load_scenario_file(bundled_scenario_path(), 10, 3, 1000)
@@ -376,6 +397,21 @@ class TestPlanCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite and positive" in captured.err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples(tmp_path, monkeypatch, capsys):
+    """Each ``$ dselink ...`` example in the README prints what it shows."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "codes.csv").write_text("\n".join(["+1"] + ["0"] * 89) + "\n", encoding="utf-8")
+    text = README.read_text(encoding="utf-8").replace("\\\n", " ")
+    examples = re.findall(r"^\$ (dselink .*?)\n(.*?)^```", text, re.M | re.S)
+    assert len(examples) == 4
+    for command, output in examples:
+        assert main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().out.splitlines() == output.splitlines(), command
 
 
 PLAN_ARGS = ["plan", "--n1", "900", "--p1", "0.9", "--p2", "0.8", "--N", "1000",

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import itertools
+import math
 import threading
 import tracemalloc
 
@@ -24,7 +26,7 @@ from dse_link import (
 )
 from dse_link import simulation
 from dse_link.cli import bundled_scenario_path, load_scenario_file
-from dse_link.simulation import CHUNK, _draw_counts, _estimate_counts
+from dse_link.simulation import CHUNK, _draw_counts, _estimate_counts, _shared_draws
 
 
 def make_config(**overrides):
@@ -262,23 +264,18 @@ def grid_configs(seed, iterations=500):
     return load_scenario_file(bundled_scenario_path(), iterations, seed, 1000)
 
 
-def cold_run(config):
-    """``run_scenario`` with no draws held from earlier runs."""
-    simulation._held.clear()
-    return run_scenario(config)
-
-
 class TestHeldDraws:
-    """Rows that share a seed reuse each other's capture and error draws;
-    every summary must equal the row's cold run."""
+    """Rows of one ``_shared_draws`` block that share a seed reuse each
+    other's capture and error draws; every summary must equal the row's
+    bare run, which shares nothing."""
 
     def test_grid_rows_equal_cold_runs_in_any_order(self):
         configs = grid_configs(seed=41)
-        cold = {config: cold_run(config) for config in configs}
+        cold = {config: run_scenario(config) for config in configs}
         for order in (configs, configs[::-1]):
-            simulation._held.clear()
-            for config in order:
-                assert run_scenario(config) == cold[config], config
+            with _shared_draws():
+                for config in order:
+                    assert run_scenario(config) == cold[config], config
 
     def test_unrelated_scenarios_interleaved(self):
         configs = grid_configs(seed=42)
@@ -294,10 +291,10 @@ class TestHeldDraws:
         for config in configs[:3]:
             sequence += [dataclasses.replace(config, iterations=CHUNK + 1), config]
         sequence.append(dataclasses.replace(configs[2], iterations=CHUNK + 1))
-        cold = {config: cold_run(config) for config in set(sequence)}
-        simulation._held.clear()
-        for config in sequence:
-            assert run_scenario(config) == cold[config], config
+        cold = {config: run_scenario(config) for config in set(sequence)}
+        with _shared_draws():
+            for config in sequence:
+                assert run_scenario(config) == cold[config], config
 
     def test_grid_draws_each_distinct_stage_once(self, monkeypatch):
         calls = {"multinomial": 0, "binomial": 0}
@@ -321,9 +318,9 @@ class TestHeldDraws:
         monkeypatch.setattr(
             simulation.np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed))
         )
-        simulation._held.clear()
-        for config in grid_configs(seed=44):
-            run_scenario(config)
+        with _shared_draws():
+            for config in grid_configs(seed=44):
+                run_scenario(config)
         # 2 capture levels, each with 2 distinct fnr (missed-link draws)
         # and 3 error mixes (spurious-link draws)
         assert calls == {"multinomial": 2, "binomial": 2 * (2 + 3)}
@@ -334,40 +331,51 @@ class TestHeldDraws:
             make_config(fnr=fnr, fpr=fpr, seed=46, iterations=200)
             for fnr, fpr in [(0.05, 0.02), (0.05, 0.08), (0.02, 0.08), (0.02, 0.02)]
         ]
-        cold = {config: cold_run(config) for config in configs}
+        cold = {config: run_scenario(config) for config in configs}
         for order in itertools.permutations(configs):
-            simulation._held.clear()
-            for config in order:
-                assert run_scenario(config) == cold[config], (order, config)
+            with _shared_draws():
+                for config in order:
+                    assert run_scenario(config) == cold[config], (order, config)
 
-    def test_holds_only_the_last_run_read_only(self):
-        simulation._held.clear()
-        run_scenario(make_config(iterations=CHUNK + 1))
-        assert sorted(simulation._held) == [0, 1]
+    def test_block_holds_read_only_draws_until_it_closes(self):
         run_scenario(make_config(iterations=10))
-        assert sorted(simulation._held) == [0]
-        for _, draws, _ in simulation._held[0]:
-            for array in draws:
-                assert not array.flags.writeable
+        assert simulation._store.get() is None
+        with _shared_draws():
+            run_scenario(make_config(iterations=CHUNK + 1))
+            held = simulation._store.get()
+            assert sorted(held) == [0, 1]
+            for stages in held.values():
+                for _, draws, _ in stages:
+                    for array in draws:
+                        assert not array.flags.writeable
+        assert simulation._store.get() is None
 
     def test_cold_run_traced_peak_per_iteration(self):
-        # the held stages take 40 bytes per iteration and the completed
-        # estimates 32; a per-iteration buffer of every estimate would
-        # add 32 more
+        # the completed estimates take 32 bytes per iteration and joining
+        # them 8 more; holding the run's stages would add 40, and a
+        # per-iteration buffer of every estimate 32. Nothing stays after
+        # a bare run returns or a block closes. gc.collect() empties the
+        # interpreter's free lists, which tracemalloc counts as allocated.
         config = make_config(iterations=8 * CHUNK)
-        simulation._held.clear()
+        run_scenario(make_config(iterations=1))  # numpy imports its samplers lazily
         tracemalloc.start()
         try:
             run_scenario(config)
-            peak = tracemalloc.get_traced_memory()[1]
+            gc.collect()
+            after_run, peak = tracemalloc.get_traced_memory()
+            with _shared_draws():
+                run_scenario(config)
+            gc.collect()
+            after_block = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert peak / config.iterations <= 105
+        assert peak / config.iterations <= 65
+        assert after_run < 64 * 1024 and after_block < 64 * 1024
 
     def test_concurrent_threads_match_serial(self):
         # rows long enough for the threads to switch inside them
         configs = grid_configs(seed=45, iterations=5000)
-        serial = [cold_run(config) for config in configs]
+        serial = [run_scenario(config) for config in configs]
         results = {}
         barrier = threading.Barrier(2)
 
@@ -455,6 +463,50 @@ def count_tuples(max_list_size):
                             yield n1plus, nplus1, n11, pi, eta, n_r, plus, minus
 
 
+COUNT_NAMES = ("n1plus", "nplus1", "n11", "pi", "eta", "n_r", "plus", "minus")
+
+
+def exact_count_law(config):
+    """Probability of each (n1plus, nplus1, n11, pi, eta, n_r, plus, minus)
+    under ``config``, enumerated with math.comb: multinomial capture cells,
+    binomial missed and spurious links, and the rematch tallies as two
+    chained hypergeometric draws from a sample of draw_rematch's size."""
+    N, f = config.N, config.f
+    p1, p2 = config.p1plus, config.pplus1
+    cell_probs = (p1 * p2, p1 * (1 - p2), (1 - p1) * p2, (1 - p1) * (1 - p2))
+
+    def binomial(n, k, p):
+        return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+    law = {}
+    for n11, n10, n01 in itertools.product(range(N + 1), repeat=3):
+        n00 = N - n11 - n10 - n01
+        if n00 < 0:
+            continue
+        cells = (
+            math.comb(N, n11) * math.comb(N - n11, n10) * math.comb(N - n11 - n10, n01)
+            * math.prod(p**n for p, n in zip(cell_probs, (n11, n10, n01, n00)))
+        )
+        n1plus = n11 + n10
+        n_r = min(max(2, math.floor(f * n1plus + 0.5)), n1plus)
+        for pi, eta in itertools.product(range(n11 + 1), range(n10 + 1)):
+            errors = cells * binomial(n11, pi, config.fnr) * binomial(n10, eta, config.fpr)
+            zeros = n1plus - pi - eta
+            for plus in range(max(0, n_r - n1plus + pi), min(pi, n_r) + 1):
+                p_plus = (
+                    math.comb(pi, plus) * math.comb(n1plus - pi, n_r - plus)
+                    / math.comb(n1plus, n_r)
+                )
+                for minus in range(max(0, n_r - plus - zeros), min(eta, n_r - plus) + 1):
+                    p_minus = (
+                        math.comb(eta, minus) * math.comb(zeros, n_r - plus - minus)
+                        / math.comb(n1plus - pi, n_r - plus)
+                    )
+                    state = (n1plus, n11 + n01, n11, pi, eta, n_r, plus, minus)
+                    law[state] = errors * p_plus * p_minus
+    return law
+
+
 def scalar_estimates(n1plus, nplus1, n11, pi, eta, n_r, plus, minus):
     """The scalar path's values for one count tuple, or None where it
     raises EstimationError."""
@@ -486,8 +538,7 @@ class TestCountEngine:
     def test_estimates_bit_identical_to_scalar_path(self):
         tuples = list(count_tuples(6))
         columns = np.array(tuples, dtype=np.int64).T
-        names = ("n1plus", "nplus1", "n11", "pi", "eta", "n_r", "plus", "minus")
-        ok, estimates = _estimate_counts(**dict(zip(names, columns)))
+        ok, estimates = _estimate_counts(**dict(zip(COUNT_NAMES, columns)))
         excluded = 0
         for i, counts in enumerate(tuples):
             expected = scalar_estimates(*counts)
@@ -499,6 +550,36 @@ class TestCountEngine:
                 assert estimates[name][i] == value, (counts, name)
         # both outcomes are well represented
         assert 0 < excluded < len(tuples)
+
+    def test_count_draws_follow_exact_law_at_small_n(self):
+        # every stage non-trivial: all four capture cells, both kinds of
+        # linkage error, and rematch samples of half the frame
+        config = make_config(p1plus=0.7, pplus1=0.6, fnr=0.3, fpr=0.3, f=0.5, N=12)
+        law = exact_count_law(config)
+        assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        draws = 400_000
+        counts = _draw_counts(config, np.random.default_rng(33), draws)
+
+        def code(values):
+            # one integer per state, on scalars and arrays alike
+            key = 0
+            for value in values:
+                key = key * (config.N + 1) + value
+            return key
+
+        states, observed = np.unique(code(counts[name] for name in COUNT_NAMES), return_counts=True)
+        seen = dict(zip(states.tolist(), observed.tolist()))
+        expected = {code(state): draws * p for state, p in law.items()}
+        assert [state for state in seen if state not in expected] == []
+        # chi-square with the states expected fewer than 5 times pooled
+        cells = [(seen.get(state, 0), e) for state, e in expected.items() if e >= 5]
+        rare = [(seen.get(state, 0), e) for state, e in expected.items() if e < 5]
+        cells.append((sum(o for o, _ in rare), sum(e for _, e in rare)))
+        chi2 = sum((o - e) ** 2 / e for o, e in cells)
+        df = len(cells) - 1
+        # Wilson-Hilferty: (chi2 / df) ** (1/3) is about normal
+        z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+        assert z <= 6, (chi2, df, z)
 
     def test_count_moments_match_record_level_oracle(self):
         # one grid row; the record-level stages are the reference
