@@ -56,14 +56,13 @@ class RematchSample:
         codes = np.asarray(self.outcomes)
         if codes.ndim != 1:
             raise ValueError("outcomes must be one-dimensional")
-        if codes.size:
-            if not np.issubdtype(codes.dtype, np.integer):
-                as_int = codes.astype(np.int64)
-                if not (codes == as_int).all():
-                    raise ValueError("outcome codes must be one of {+1, -1, 0}")
-                codes = as_int
-            if codes.min() < -1 or codes.max() > 1:
-                raise ValueError("outcome codes must be one of {+1, -1, 0}")
+        if np.issubdtype(codes.dtype, np.integer):
+            valid = codes.min(initial=0) >= -1 and codes.max(initial=0) <= 1
+        else:
+            # compared before any cast: casting NaN, inf or 1e300 to int warns
+            valid = ((codes == 0) | (codes == 1) | (codes == -1)).all()
+        if not valid:
+            raise ValueError("outcome codes must be one of {+1, -1, 0}")
         object.__setattr__(self, "outcomes", codes.astype(np.int8))
         object.__setattr__(self, "n1plus", integer_count("n1plus", self.n1plus))
         if self.n1plus < 1:

@@ -30,8 +30,8 @@ Runs that share a seed are therefore common random numbers: runs that
 agree on (N, p1plus, pplus1) draw the same capture cells, runs that also
 agree on fnr the same missed links, and runs that also agree on fpr the
 same spurious links. The rows of one ``dselink simulate`` call share
-those draws (see ``run_scenario``); a library call holds nothing after
-it returns.
+those draws in any order (see ``run_scenario``); a library call holds
+nothing after it returns.
 
 ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
 simulate one iteration record by record. ``run_scenario`` does not call
@@ -259,13 +259,36 @@ def _draw_tallies(
     )
 
 
-def _draw_counts(config: ScenarioConfig, rng: np.random.Generator, size: int) -> dict:
+def _stage(store: dict, key: tuple, draw, config: ScenarioConfig, rng, arg) -> tuple:
+    """``draw(config, rng, arg)``'s arrays, made read-only and kept in
+    ``store`` under ``key``, the inputs that determine them, with the
+    generator state right after them. If ``store`` holds ``key`` already,
+    its arrays, with ``rng`` set to that state."""
+    if key not in store:
+        draws = draw(config, rng, arg)
+        for array in draws:
+            array.flags.writeable = False
+        store[key] = draws, rng.bit_generator.state
+    draws, rng.bit_generator.state = store[key]
+    return draws
+
+
+def _draw_counts(
+    config: ScenarioConfig, rng: np.random.Generator, size: int, store: dict | None = None, key=()
+) -> dict:
     """Draw ``size`` iterations' counts, as int64 arrays, from the law of
     ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
-    composed: the keyword arguments of ``_estimate_counts``."""
-    cells = _draw_cells(config, rng, size)
-    errors = _draw_missed(config, rng, cells) + _draw_spurious(config, rng, cells)
-    return _draw_tallies(config, rng, cells, errors)
+    composed: the keyword arguments of ``_estimate_counts``. The capture
+    cells, missed links and spurious links are kept in ``store`` under
+    ``key`` extended by their inputs, and reused from it (see ``_stage``)."""
+    store = {} if store is None else store
+    key += (size, config.N, config.p1plus, config.pplus1)
+    cells = _stage(store, key, _draw_cells, config, rng, size)
+    key += (config.fnr,)
+    missed = _stage(store, key, _draw_missed, config, rng, cells)
+    key += (config.fpr,)
+    spurious = _stage(store, key, _draw_spurious, config, rng, cells)
+    return _draw_tallies(config, rng, cells, missed + spurious)
 
 
 def _estimate_counts(
@@ -311,14 +334,11 @@ def _estimate_counts(
     return ok, estimates
 
 
-def _completed_estimates(
-    config: ScenarioConfig, rng: np.random.Generator, cells: tuple, errors: tuple
-) -> list:
-    """Draw the rematch tallies and return the dse, uncorrected, corrected
-    and variance estimates of the iterations that no precondition
-    excludes. The chunk's other count and estimate arrays are freed as it
-    returns."""
-    ok, estimates = _estimate_counts(**_draw_tallies(config, rng, cells, errors))
+def _completed_estimates(counts: dict) -> list:
+    """The dse, uncorrected, corrected and variance estimates of the
+    iterations of ``counts`` that no precondition excludes. The chunk's
+    other count and estimate arrays are freed as it returns."""
+    ok, estimates = _estimate_counts(**counts)
     return [estimates[name][ok] for name in ("dse", "uncorrected", "corrected", "variance")]
 
 
@@ -333,22 +353,8 @@ def _stats(values: np.ndarray, population: int) -> EstimatorStats:
     return EstimatorStats(mean, erb, erse)
 
 
-def _stage(held: tuple | None, key: tuple, draw, config: ScenarioConfig, rng, arg) -> tuple:
-    """One chunk's stage as ``(key, draws, state)``: the inputs that
-    determine the draws, the draws, and the generator state right after
-    them. That is ``held`` with ``rng`` set to its state, if ``held`` was
-    drawn under ``key``; otherwise ``draw(config, rng, arg)``'s arrays,
-    made read-only."""
-    if held is not None and held[0] == key:
-        rng.bit_generator.state = held[2]
-        return held
-    draws = draw(config, rng, arg)
-    for array in draws:
-        array.flags.writeable = False
-    return key, draws, rng.bit_generator.state
-
-
-# The open _shared_draws() block's stages by chunk, per thread; else None.
+# The open _shared_draws() block's stages, keyed by their inputs (see
+# _draw_counts), per thread; else None.
 _store: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_store", default=None)
 
 
@@ -378,32 +384,23 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     Inside a ``_shared_draws()`` block, runs that share a seed share
     draws: the capture cells when they agree on (N, p1plus, pplus1), the
     missed links when they also agree on fnr, and the spurious links when
-    they also agree on fpr. Each chunk reuses the previous run's stages
-    whose inputs all match and restores the generator to its state after
-    the last of them, so the output is bit-identical to a fresh draw. The
-    block holds the stages, about 40 bytes per iteration, until it closes.
-    Outside a block every stage is drawn afresh and nothing is held after
-    return. Each chunk keeps only its completed iterations' estimates.
+    they also agree on fpr. The block keeps every distinct stage with the
+    generator state after it, so a reused stage is bit-identical to a
+    fresh draw in any order of runs; on the bundled grid it holds 128
+    bytes per iteration until it closes. Outside a block every stage is
+    drawn afresh and nothing is held after return. Each chunk keeps only
+    its completed iterations' estimates.
     """
     R = config.iterations
     streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
     columns = [[], [], [], []]  # dse, uncorrected, corrected, variance
-    held = _store.get()
+    store = _store.get()
     for k, stream in enumerate(streams):
         size = min(R, (k + 1) * CHUNK) - k * CHUNK
         rng = np.random.default_rng(stream)
-        cells_key = (config.seed, k, size, config.N, config.p1plus, config.pplus1)
-        missed_key = cells_key + (config.fnr,)
-        last = (None,) * 3 if held is None else held.get(k, (None,) * 3)
-        cells = _stage(last[0], cells_key, _draw_cells, config, rng, size)
-        missed = _stage(last[1], missed_key, _draw_missed, config, rng, cells[1])
-        spurious_key = missed_key + (config.fpr,)
-        spurious = _stage(last[2], spurious_key, _draw_spurious, config, rng, cells[1])
-        if held is not None:
-            held[k] = cells, missed, spurious
-        errors = missed[1] + spurious[1]
-        for i, values in enumerate(_completed_estimates(config, rng, cells[1], errors)):
-            columns[i].append(values)
+        chunk = _completed_estimates(_draw_counts(config, rng, size, store, (config.seed, k)))
+        for column, values in zip(columns, chunk):
+            column.append(values)
 
     # Replacing each list of parts by its concatenation frees the parts.
     for i in range(len(columns)):

@@ -53,6 +53,10 @@ class TestRematchSample:
             RematchSample([0, 2], n1plus=10)
         with pytest.raises(ValueError):
             RematchSample([0.5, 0.5], n1plus=10)
+        # a cast to int would warn on these before any ValueError
+        for code in (math.nan, math.inf, 1e300):
+            with pytest.raises(ValueError):
+                RematchSample([0, code], n1plus=10)
 
     def test_too_small(self):
         with pytest.raises(SampleTooSmall):

@@ -264,6 +264,15 @@ def grid_configs(seed, iterations=500):
     return load_scenario_file(bundled_scenario_path(), iterations, seed, 1000)
 
 
+# Row orders of the bundled grid. Sorted by f, rows that share capture
+# cells and error draws are no longer adjacent.
+ROW_ORDERS = {
+    "file": list,
+    "reversed": lambda configs: configs[::-1],
+    "sorted_by_f": lambda configs: sorted(configs, key=lambda config: config.f),
+}
+
+
 class TestHeldDraws:
     """Rows of one ``_shared_draws`` block that share a seed reuse each
     other's capture and error draws; every summary must equal the row's
@@ -272,9 +281,9 @@ class TestHeldDraws:
     def test_grid_rows_equal_cold_runs_in_any_order(self):
         configs = grid_configs(seed=41)
         cold = {config: run_scenario(config) for config in configs}
-        for order in (configs, configs[::-1]):
+        for reorder in ROW_ORDERS.values():
             with _shared_draws():
-                for config in order:
+                for config in reorder(configs):
                     assert run_scenario(config) == cold[config], config
 
     def test_unrelated_scenarios_interleaved(self):
@@ -296,7 +305,8 @@ class TestHeldDraws:
             for config in sequence:
                 assert run_scenario(config) == cold[config], config
 
-    def test_grid_draws_each_distinct_stage_once(self, monkeypatch):
+    @pytest.mark.parametrize("order", ROW_ORDERS)
+    def test_grid_draws_each_distinct_stage_once(self, monkeypatch, order):
         calls = {"multinomial": 0, "binomial": 0}
         default_rng = np.random.default_rng
 
@@ -319,7 +329,7 @@ class TestHeldDraws:
             simulation.np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed))
         )
         with _shared_draws():
-            for config in grid_configs(seed=44):
+            for config in ROW_ORDERS[order](grid_configs(seed=44)):
                 run_scenario(config)
         # 2 capture levels, each with 2 distinct fnr (missed-link draws)
         # and 3 error mixes (spurious-link draws)
@@ -340,14 +350,17 @@ class TestHeldDraws:
     def test_block_holds_read_only_draws_until_it_closes(self):
         run_scenario(make_config(iterations=10))
         assert simulation._store.get() is None
+        iterations = CHUNK + 1
         with _shared_draws():
-            run_scenario(make_config(iterations=CHUNK + 1))
+            for config in grid_configs(seed=47, iterations=iterations):
+                run_scenario(config)
             held = simulation._store.get()
-            assert sorted(held) == [0, 1]
-            for stages in held.values():
-                for _, draws, _ in stages:
-                    for array in draws:
-                        assert not array.flags.writeable
+            arrays = [array for draws, _ in held.values() for array in draws]
+            assert not any(array.flags.writeable for array in arrays)
+            # per chunk, 2 capture keys of 3 int64 arrays, and 4 missed-link
+            # and 6 spurious-link keys of one int64 array each
+            assert sum(array.nbytes for array in arrays) == (2 * 24 + 4 * 8 + 6 * 8) * iterations
+            assert len(held) == 2 * (2 + 4 + 6)
         assert simulation._store.get() is None
 
     def test_cold_run_traced_peak_per_iteration(self):
