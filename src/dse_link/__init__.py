@@ -19,7 +19,6 @@ from .estimators import (
 from .rematch import (
     Infeasible,
     NuEstimate,
-    RematchOutcome,
     RematchSample,
     SampleExceedsFrame,
     SampleTooSmall,
@@ -40,7 +39,6 @@ from .simulation import (
 from .variance import (
     EstimateBelowMargin,
     MultinomialMoments,
-    dse_variance_approx,
     multinomial_moments,
     naive_variance_approx,
     naive_variance_estimate,
@@ -62,7 +60,6 @@ __all__ = [
     "MultinomialMoments",
     "NonPositiveCorrectedMatches",
     "NuEstimate",
-    "RematchOutcome",
     "RematchSample",
     "SampleExceedsFrame",
     "SampleTooSmall",
@@ -73,7 +70,6 @@ __all__ = [
     "ding_fienberg",
     "draw_rematch",
     "dse",
-    "dse_variance_approx",
     "generate_population",
     "ht_nu",
     "inject_linkage_errors",

@@ -12,7 +12,6 @@ import re
 import secrets
 import sys
 from importlib.resources import files
-from types import SimpleNamespace
 
 from .estimators import (
     ContingencyCounts,
@@ -139,9 +138,9 @@ def load_rematch_codes(path: str) -> list[int]:
     return codes
 
 
-def summary_to_row(summary: SimulationSummary) -> SimpleNamespace:
-    """One result-table row: an object with one attribute per
-    ``RESULT_COLUMNS`` entry."""
+def summary_to_row(summary: SimulationSummary) -> dict:
+    """One result-table row: a dict keyed by ``RESULT_COLUMNS``, the shape
+    ``parse_results_csv`` returns."""
     cfg = summary.config
     stats = (summary.dse, summary.uncorrected, summary.corrected)
     values = (
@@ -155,24 +154,24 @@ def summary_to_row(summary: SimulationSummary) -> SimpleNamespace:
         summary.arse_pct,
         summary.exclusions,
     )
-    return SimpleNamespace(**dict(zip(RESULT_COLUMNS, values, strict=True)))
+    return dict(zip(RESULT_COLUMNS, values, strict=True))
 
 
-def _cells(row, precision: int) -> list[str]:
+def _cells(row: dict, precision: int) -> list[str]:
     """Format one row: key columns and exclusions in their exact shortest
     representation, metrics with ``precision`` decimals or NA if undefined."""
-    cells = [str(getattr(row, column)) for column in SCENARIO_COLUMNS]
+    cells = [str(row[column]) for column in SCENARIO_COLUMNS]
     for column in METRIC_COLUMNS:
-        value = getattr(row, column)
+        value = row[column]
         cells.append("NA" if value is None else f"{value:.{precision}f}")
-    cells.append(str(row.exclusions))
+    cells.append(str(row["exclusions"]))
     return cells
 
 
-def render_csv(rows: list, seed: int | None, precision: int = 2) -> str:
-    """Serialize the results table; ``rows`` are objects with one attribute
-    per ``RESULT_COLUMNS`` entry. Metric columns use ``precision``
-    decimals. A ``seed`` of None writes no ``# seed=`` line."""
+def render_csv(rows: list[dict], seed: int | None, precision: int = 2) -> str:
+    """Serialize the results table; ``rows`` are dicts keyed by
+    ``RESULT_COLUMNS``. Metric columns use ``precision`` decimals. A
+    ``seed`` of None writes no ``# seed=`` line."""
     out = io.StringIO()
     if seed is not None:
         out.write(f"# seed={seed}\n")
@@ -183,7 +182,7 @@ def render_csv(rows: list, seed: int | None, precision: int = 2) -> str:
     return out.getvalue()
 
 
-def render_markdown(rows: list, seed: int | None) -> str:
+def render_markdown(rows: list[dict], seed: int | None) -> str:
     lines = [] if seed is None else [f"seed = {seed}", ""]
     lines.append("| " + " | ".join(RESULT_COLUMNS) + " |")
     lines.append("|" + "|".join([" --- "] * len(RESULT_COLUMNS)) + "|")
@@ -270,7 +269,6 @@ def cmd_simulate(args) -> int:
     # int()'s syntax for a non-negative integer, so int(value) cannot raise.
     if not re.fullmatch(r"\s*\+?\d+(_\d+)*\s*", str(value)) or int(value) < 1:
         raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
-    threads = int(value)
     if args.precision < 0:
         raise ValueError(f"--precision must be >= 0, got {args.precision}")
     seed = args.seed if args.seed is not None else secrets.randbits(64)
@@ -283,7 +281,7 @@ def cmd_simulate(args) -> int:
     rows = []
     with _shared_draws():
         for config in configs:
-            summary = run_scenario(config, threads=threads)
+            summary = run_scenario(config)
             rows.append(summary_to_row(summary))
             if args.verbose:
                 alt = summary.arse_root_mean_var_pct

@@ -128,25 +128,12 @@ class ErrorRates:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
-    @property
-    def correct_link_rate(self) -> float:
-        """Probability a true match is correctly linked (1 - fnr)."""
-        return 1.0 - self.fnr
-
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """A point estimate of population size, optionally with its variance."""
+    """A point estimate of population size."""
 
     n_hat: float
-    variance: float | None = None
-
-    @property
-    def rse(self) -> float | None:
-        """Relative standard error, present exactly when variance is."""
-        if self.variance is None:
-            return None
-        return math.sqrt(self.variance) / self.n_hat
 
 
 def dual_system_ratio(n1plus, nplus1, matches):

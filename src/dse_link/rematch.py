@@ -13,7 +13,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -37,14 +36,6 @@ class Infeasible(EstimationError):
         self.min_achievable_rse = min_achievable_rse
 
 
-class RematchOutcome(IntEnum):
-    """Clerical code for one rematch-sampled source-1 record."""
-
-    FALSE_NEGATIVE = 1
-    FALSE_POSITIVE = -1
-    CORRECT = 0
-
-
 @dataclass(frozen=True, eq=False)
 class RematchSample:
     """Outcome codes of a without-replacement rematch sample from source 1."""
@@ -56,11 +47,13 @@ class RematchSample:
         codes = np.asarray(self.outcomes)
         if codes.ndim != 1:
             raise ValueError("outcomes must be one-dimensional")
-        if np.issubdtype(codes.dtype, np.integer):
+        kind = codes.dtype.kind
+        if kind in "iu":
             valid = codes.min(initial=0) >= -1 and codes.max(initial=0) <= 1
         else:
-            # compared before any cast: casting NaN, inf or 1e300 to int warns
-            valid = ((codes == 0) | (codes == 1) | (codes == -1)).all()
+            # bool and float only, compared before any cast: casting NaN, inf,
+            # 1e300 or a complex code to int warns, and an object one may raise
+            valid = kind in "bf" and ((codes == 0) | (codes == 1) | (codes == -1)).all()
         if not valid:
             raise ValueError("outcome codes must be one of {+1, -1, 0}")
         object.__setattr__(self, "outcomes", codes.astype(np.int8))
@@ -83,10 +76,6 @@ class RematchSample:
     def f(self) -> float:
         """Sampling fraction n_r / n1plus."""
         return self.n_r / self.n1plus
-
-    @property
-    def y_bar(self) -> float:
-        return int(self.outcomes.sum()) / self.n_r
 
     @property
     def s2_y(self) -> float:

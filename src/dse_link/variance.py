@@ -63,20 +63,15 @@ def linearized_variance(N, p1plus, pplus1, sigma2_eps):
     return N * ((1.0 - p1plus) * (1.0 - pplus1)) / p11 + sigma2_eps / p11**2
 
 
-def dse_variance_approx(N: float, capture: CaptureProbabilities) -> float:
-    """Linearized variance of the dual system estimator,
-    N * p0plus * pplus0 / (p1plus * pplus1): the corrected one's at sigma2_eps = 0."""
-    return naive_variance_approx(N, capture, 0.0)
-
-
 def naive_variance_approx(
     N: float, capture: CaptureProbabilities, sigma2_eps: float
 ) -> float:
     """Linearized variance of the corrected estimator.
 
-    Equals the dual-system term plus sigma2_eps / (p1plus * pplus1)**2,
-    where sigma2_eps is the variance of the rematch correction. Raises
-    ValueError when (p1plus * pplus1)**2 underflows to 0.
+    Equals the dual system estimator's, N * p0plus * pplus0 / p11 (its
+    value at sigma2_eps = 0), plus sigma2_eps / p11**2, where p11 =
+    p1plus * pplus1 and sigma2_eps is the variance of the rematch
+    correction. Raises ValueError when p11**2 underflows to 0.
     """
     if not sigma2_eps >= 0:
         raise ValueError(f"sigma2_eps must be >= 0, got {sigma2_eps}")

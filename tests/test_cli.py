@@ -164,13 +164,8 @@ class TestSimulateCommand:
         assert len(rows) == 1
         assert list(rows[0]) == list(RESULT_COLUMNS)
         assert rows[0]["exclusions"] == 0
-        # serializing the parsed values reproduces the file byte for byte
-        class Row:
-            pass
-        row = Row()
-        for key, value in rows[0].items():
-            setattr(row, key, value)
-        assert render_csv([row], seed) == text
+        # serializing the parsed rows reproduces the file byte for byte
+        assert render_csv(rows, seed) == text
 
     def test_stdout_when_no_output_given(self, tmp_path, capsys):
         scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.0,0.0,0.2"])

@@ -84,11 +84,6 @@ class TestDse:
                 scaled = dse(ContingencyCounts(k * n1, k * n2, k * n11)).n_hat
                 assert scaled == pytest.approx(k * base, rel=1e-12)
 
-    def test_no_variance_attached(self):
-        report = dse(ContingencyCounts(900, 800, 720))
-        assert report.variance is None
-        assert report.rse is None
-
 
 class TestNaiveCorrected:
     def test_correction_restores_dse(self):

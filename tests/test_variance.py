@@ -8,7 +8,6 @@ from dse_link import (
     ContingencyCounts,
     EstimateBelowMargin,
     NuEstimate,
-    dse_variance_approx,
     multinomial_moments,
     naive_variance_approx,
     naive_variance_estimate,
@@ -82,18 +81,20 @@ class TestMultinomialMoments:
 
 
 class TestDseVarianceApprox:
+    """The dual system estimator's variance: naive_variance_approx at sigma2_eps = 0."""
+
     def test_anchor_high_coverage(self):
-        v = dse_variance_approx(1000, CaptureProbabilities(0.9, 0.8))
+        v = naive_variance_approx(1000, CaptureProbabilities(0.9, 0.8), 0.0)
         assert v == pytest.approx(1000 * 0.1 * 0.2 / 0.72, rel=1e-12)
         assert abs(100 * np.sqrt(v) / 1000 - 0.53) <= 0.01
 
     def test_anchor_low_coverage(self):
-        v = dse_variance_approx(1000, CaptureProbabilities(0.8, 0.7))
+        v = naive_variance_approx(1000, CaptureProbabilities(0.8, 0.7), 0.0)
         assert v == pytest.approx(1000 * 0.2 * 0.3 / 0.56, rel=1e-12)
         assert abs(100 * np.sqrt(v) / 1000 - 1.03) <= 0.01
 
     def test_vanishes_at_perfect_coverage(self):
-        v = dse_variance_approx(1000, CaptureProbabilities(1 - 1e-9, 1 - 1e-9))
+        v = naive_variance_approx(1000, CaptureProbabilities(1 - 1e-9, 1 - 1e-9), 0.0)
         assert v == pytest.approx(0.0, abs=1e-3)
 
     def test_matches_empirical_estimator_variance(self):
@@ -107,17 +108,12 @@ class TestDseVarianceApprox:
         )
         n11 = cells[:, 0].astype(float)
         estimates = (n11 + cells[:, 1]) * (n11 + cells[:, 2]) / n11
-        approx = dse_variance_approx(N, CaptureProbabilities(p1, p2))
+        approx = naive_variance_approx(N, CaptureProbabilities(p1, p2), 0.0)
         assert abs(estimates.var(ddof=1) - approx) / approx < 0.05
 
 
 class TestNaiveVarianceApprox:
     CAPTURE = CaptureProbabilities(0.9, 0.8)
-
-    def test_no_rematch_noise_equals_dse_term(self):
-        assert naive_variance_approx(1000, self.CAPTURE, 0.0) == dse_variance_approx(
-            1000, self.CAPTURE
-        )
 
     def test_pinned_regression_value(self):
         # 1000*0.02/0.72 + 93.5/0.5184, hand-computed
@@ -142,7 +138,7 @@ class TestNaiveVarianceApprox:
         with pytest.raises(ValueError, match=r"^sigma2_eps must be >= 0, got -1\.0$"):
             naive_variance_approx(-1, self.CAPTURE, -1.0)
         with pytest.raises(ValueError, match=r"^N must be positive, got -1$"):
-            dse_variance_approx(-1, self.CAPTURE)
+            naive_variance_approx(-1, self.CAPTURE, 0.0)
 
     def test_rejects_capture_product_whose_square_underflows(self):
         tiny = CaptureProbabilities(1e-170, 0.5)
@@ -202,7 +198,7 @@ def test_all_variances_nonnegative():
         N = float(rng.integers(1, 100000))
         capture = CaptureProbabilities(p1, p2)
         sigma2 = float(rng.uniform(0, 1000))
-        assert dse_variance_approx(N, capture) >= 0
+        assert naive_variance_approx(N, capture, 0.0) >= 0
         assert naive_variance_approx(N, capture, sigma2) >= 0
         moments = multinomial_moments(N, capture)
         assert moments.var_n1plus >= 0
