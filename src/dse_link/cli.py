@@ -81,7 +81,7 @@ def load_scenario_file(
             raise ScenarioFileError("scenario file is empty")
         missing = [c for c in SCENARIO_COLUMNS if c not in header]
         unknown = [c for c in header if c not in SCENARIO_COLUMNS + SCENARIO_OPTIONAL]
-        if missing or unknown:
+        if missing or unknown or len(set(header)) < len(header):
             raise ScenarioFileError(
                 f"row 1: bad header {header}; required columns "
                 f"{','.join(SCENARIO_COLUMNS)}, optional "

@@ -218,54 +218,13 @@ def draw_rematch(
     return RematchSample(state.source1_codes[indices], n1plus=n1plus)
 
 
-def _draw_cells(config: ScenarioConfig, rng: np.random.Generator, size: int) -> tuple:
-    """Capture cells (n11, n10, n01) of ``size`` iterations, as int64
-    arrays."""
-    p1, p2 = config.p1plus, config.pplus1
-    cells = rng.multinomial(
-        config.N, [p1 * p2, p1 * (1 - p2), (1 - p1) * p2, (1 - p1) * (1 - p2)], size=size
-    )
-    # n00 is unobservable, so a contiguous copy holds 24 bytes per iteration.
-    return tuple(np.ascontiguousarray(cells[:, :3].T))
-
-
-def _draw_missed(config: ScenarioConfig, rng: np.random.Generator, cells: tuple) -> tuple:
-    """Missed links (pi,) of each iteration, as an int64 array."""
-    return (rng.binomial(cells[0], config.fnr),)
-
-
-def _draw_spurious(config: ScenarioConfig, rng: np.random.Generator, cells: tuple) -> tuple:
-    """Spurious links (eta,) of each iteration, as an int64 array."""
-    return (rng.binomial(cells[1], config.fpr),)
-
-
-def _draw_tallies(
-    config: ScenarioConfig, rng: np.random.Generator, cells: tuple, errors: tuple
-) -> dict:
-    """Draw the rematch tallies given the capture cells and linkage errors,
-    and return the keyword arguments of ``_estimate_counts``."""
-    n11, n10, n01 = cells
-    pi, eta = errors
-    n1plus = n11 + n10
-    # draw_rematch's sample size. A frame of fewer than 2 records excludes
-    # the iteration; capping n_r at the frame keeps its draw defined.
-    n_r = np.maximum(2, np.floor(config.f * n1plus + 0.5).astype(np.int64))
-    n_r = np.minimum(n_r, n1plus)
-    plus = rng.hypergeometric(pi, n1plus - pi, n_r)
-    minus = rng.hypergeometric(eta, n1plus - pi - eta, n_r - plus)
-    return dict(
-        n1plus=n1plus, nplus1=n11 + n01, n11=n11, pi=pi, eta=eta,
-        n_r=n_r, plus=plus, minus=minus,
-    )
-
-
-def _stage(store: dict, key: tuple, draw, config: ScenarioConfig, rng, arg) -> tuple:
-    """``draw(config, rng, arg)``'s arrays, made read-only and kept in
-    ``store`` under ``key``, the inputs that determine them, with the
-    generator state right after them. If ``store`` holds ``key`` already,
-    its arrays, with ``rng`` set to that state."""
+def _stage(store: dict, key: tuple, rng: np.random.Generator, draw) -> tuple:
+    """``draw()``'s arrays, made read-only and kept in ``store`` under
+    ``key``, the inputs that determine them, with the generator state right
+    after them. If ``store`` holds ``key`` already, its arrays, with ``rng``
+    set to that state."""
     if key not in store:
-        draws = draw(config, rng, arg)
+        draws = draw()
         for array in draws:
             array.flags.writeable = False
         store[key] = draws, rng.bit_generator.state
@@ -282,13 +241,29 @@ def _draw_counts(
     cells, missed links and spurious links are kept in ``store`` under
     ``key`` extended by their inputs, and reused from it (see ``_stage``)."""
     store = {} if store is None else store
-    key += (size, config.N, config.p1plus, config.pplus1)
-    cells = _stage(store, key, _draw_cells, config, rng, size)
+    p1, p2 = config.p1plus, config.pplus1
+    probs = [p1 * p2, p1 * (1 - p2), (1 - p1) * p2, (1 - p1) * (1 - p2)]
+    key += (size, config.N, p1, p2)
+    # n00 is unobservable, so a contiguous copy of the other cells holds 24
+    # bytes per iteration.
+    n11, n10, n01 = _stage(store, key, rng, lambda: tuple(
+        np.ascontiguousarray(rng.multinomial(config.N, probs, size=size)[:, :3].T)
+    ))
     key += (config.fnr,)
-    missed = _stage(store, key, _draw_missed, config, rng, cells)
+    (pi,) = _stage(store, key, rng, lambda: (rng.binomial(n11, config.fnr),))
     key += (config.fpr,)
-    spurious = _stage(store, key, _draw_spurious, config, rng, cells)
-    return _draw_tallies(config, rng, cells, missed + spurious)
+    (eta,) = _stage(store, key, rng, lambda: (rng.binomial(n10, config.fpr),))
+    n1plus = n11 + n10
+    # draw_rematch's sample size. A frame of fewer than 2 records excludes
+    # the iteration; capping n_r at the frame keeps its draw defined.
+    n_r = np.maximum(2, np.floor(config.f * n1plus + 0.5).astype(np.int64))
+    n_r = np.minimum(n_r, n1plus)
+    plus = rng.hypergeometric(pi, n1plus - pi, n_r)
+    minus = rng.hypergeometric(eta, n1plus - pi - eta, n_r - plus)
+    return dict(
+        n1plus=n1plus, nplus1=n11 + n01, n11=n11, pi=pi, eta=eta,
+        n_r=n_r, plus=plus, minus=minus,
+    )
 
 
 def _estimate_counts(
@@ -343,7 +318,7 @@ def _completed_estimates(counts: dict) -> list:
 
 
 def _stats(values: np.ndarray, population: int) -> EstimatorStats:
-    if values.size == 0 or population <= 0:
+    if values.size == 0:
         return EstimatorStats(None, None, None)
     mean = float(values.mean())
     erb = 100.0 * abs(mean - population) / population
@@ -407,7 +382,7 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
         columns[i] = np.concatenate(columns[i])
     est_true, est_uncorrected, est_corrected, variances = columns
     completed = est_true.size
-    if completed and config.N > 0:
+    if completed:
         arse = float(100.0 * np.sqrt(variances).mean() / config.N)
         arse_rmv = float(100.0 * math.sqrt(variances.mean()) / config.N)
     else:

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -13,6 +14,7 @@ from dse_link import (
     EstimationError,
     InvalidCounts,
     RematchSample,
+    SampleTooSmall,
     ScenarioConfig,
     TrueLinkageState,
     draw_rematch,
@@ -587,6 +589,56 @@ class TestCountEngine:
         # chi-square with the states expected fewer than 5 times pooled
         cells = [(seen.get(state, 0), e) for state, e in expected.items() if e >= 5]
         rare = [(seen.get(state, 0), e) for state, e in expected.items() if e < 5]
+        cells.append((sum(o for o, _ in rare), sum(e for _, e in rare)))
+        chi2 = sum((o - e) ** 2 / e for o, e in cells)
+        df = len(cells) - 1
+        # Wilson-Hilferty: (chi2 / df) ** (1/3) is about normal
+        z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+        assert z <= 6, (chi2, df, z)
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            # every spurious link drawn: many iterations end in InvalidCounts
+            dict(p1plus=0.6, pplus1=0.5, fnr=0.3, fpr=1.0, f=0.5),
+            # no missed links and a census rematch; small frames end in
+            # SampleTooSmall
+            dict(p1plus=0.3, pplus1=0.6, fnr=0.0, fpr=0.4, f=0.95),
+        ],
+        ids=["fpr-1", "fnr-0-f-near-1"],
+    )
+    def test_record_level_stages_follow_exact_law_at_small_n(self, rates):
+        config = make_config(N=6, **rates)
+
+        def outcome(n1plus, nplus1, n11, pi, eta, *rematch):
+            # the record-level stages raise in this order
+            if n11 - pi + eta > nplus1:
+                return "InvalidCounts"
+            if n1plus < 2:
+                return "SampleTooSmall"
+            return (n1plus, nplus1, n11, pi, eta) + rematch
+
+        expected = collections.defaultdict(float)
+        for state, p in exact_count_law(config).items():
+            expected[outcome(*state)] += p
+        rng = np.random.default_rng(34)
+        draws = 12_000
+        seen = collections.Counter()
+        for _ in range(draws):
+            state = generate_population(config, rng)
+            try:
+                state = inject_linkage_errors(state, config.fnr, config.fpr, rng)
+                codes = draw_rematch(state, config.f, rng).outcomes
+            except (InvalidCounts, SampleTooSmall) as exc:
+                seen[type(exc).__name__] += 1
+                continue
+            true = state.counts_true
+            rematch = (len(codes), np.count_nonzero(codes == 1), np.count_nonzero(codes == -1))
+            seen[(true.n1plus, true.nplus1, true.n11, state.pi, state.eta) + rematch] += 1
+        assert [state for state in seen if state not in expected] == []
+        # chi-square with the outcomes expected fewer than 5 times pooled
+        cells = [(seen[state], draws * p) for state, p in expected.items() if draws * p >= 5]
+        rare = [(seen[state], draws * p) for state, p in expected.items() if draws * p < 5]
         cells.append((sum(o for o, _ in rare), sum(e for _, e in rare)))
         chi2 = sum((o - e) ** 2 / e for o, e in cells)
         df = len(cells) - 1
