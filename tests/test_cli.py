@@ -32,6 +32,11 @@ class TestEstimateCommand:
         assert main(["estimate", "--n1", "5", "--n2", "3", "--m", "2", "--floor"]) == 0
         assert "dse: 7.000000" in capsys.readouterr().out
 
+    def test_zero_matches_diagnostic(self, capsys):
+        code = main(["estimate", "--n1", "900", "--n2", "800", "--m", "0"])
+        assert code != 0
+        assert "ZeroMatches" in capsys.readouterr().err
+
     def test_with_rematch_codes(self, tmp_path, capsys):
         codes = tmp_path / "codes.csv"
         codes.write_text("\n".join(["+1"] + ["0"] * 89) + "\n", encoding="utf-8")
@@ -62,6 +67,22 @@ class TestEstimateCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["ding_fienberg"] == pytest.approx(0.93 * 720000 / 684)
 
+    def test_alpha_without_beta_rejected(self, capsys):
+        code = main(
+            ["estimate", "--n1", "900", "--n2", "800", "--m", "702", "--alpha", "0.95"]
+        )
+        assert code != 0
+
+    def test_bad_rematch_code_diagnostic(self, tmp_path, capsys):
+        codes = tmp_path / "codes.csv"
+        codes.write_text("0\n2\n", encoding="utf-8")
+        code = main(
+            ["estimate", "--n1", "900", "--n2", "800", "--m", "710",
+             "--rematch", str(codes)]
+        )
+        assert code != 0
+        assert "row 2" in capsys.readouterr().err
+
     def test_rematch_codes_after_byte_order_mark(self, tmp_path, capsys):
         # spreadsheet "CSV UTF-8" exports start with a byte-order mark
         codes = tmp_path / "codes.csv"
@@ -72,6 +93,15 @@ class TestEstimateCommand:
         )
         assert code == 0
         assert json.loads(capsys.readouterr().out)["nu_hat"] == 10.0
+
+    def test_missing_rematch_file_diagnostic(self, capsys):
+        code = main(
+            ["estimate", "--n1", "900", "--n2", "800", "--m", "710",
+             "--rematch", "/nonexistent/codes.csv"]
+        )
+        assert code != 0
+        assert "error:" in capsys.readouterr().err
+
 
 class TestScenarioFile:
     def test_loads_rows_with_overrides(self, tmp_path):
@@ -160,12 +190,56 @@ class TestSimulateCommand:
         assert columns["erse_corrected"] == "NA"
         assert columns["erb_corrected"] != "NA"
 
+    def test_markdown_format(self, tmp_path, capsys):
+        scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
+        assert main(
+            ["simulate", scen, "--iterations", "50", "--seed", "2",
+             "--format", "markdown"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("seed = 2\n")
+        assert "| p1 | p2 |" in out
+
+    def test_malformed_file_no_partial_output(self, tmp_path, capsys):
+        scen = write_scenarios(
+            tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2", "bad,row,here"]
+        )
+        out = tmp_path / "results.csv"
+        code = main(["simulate", scen, "--seed", "1", "--output", str(out)])
+        assert code != 0
+        assert "row 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_random_seed_printed_when_omitted(self, tmp_path, capsys):
         scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.0,0.0,0.5"])
         assert main(["simulate", scen, "--iterations", "2"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.startswith("# seed=")
         assert int(header.split("=", 1)[1]) >= 0
+
+    def test_thread_count_does_not_change_output(self, tmp_path):
+        scen = write_scenarios(
+            tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2", "0.8,0.7,0.05,0.08,0.1"]
+        )
+        outputs = []
+        for threads, name in ((1, "a.csv"), (4, "b.csv")):
+            out = tmp_path / name
+            assert main(
+                ["simulate", scen, "--iterations", "100", "--seed", "9",
+                 "--threads", str(threads), "--output", str(out)]
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_precision_flag(self, tmp_path, capsys):
+        scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
+        assert main(
+            ["simulate", scen, "--iterations", "50", "--seed", "3",
+             "--precision", "6"]
+        ) == 0
+        data = capsys.readouterr().out.splitlines()[2].split(",")
+        erb = data[RESULT_COLUMNS.index("erb_dse")]
+        assert len(erb.split(".")[1]) == 6
 
     def test_threads_env_var_fallback(self, tmp_path, capsys, monkeypatch):
         scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
@@ -190,6 +264,28 @@ class TestSimulateCommand:
         assert code == 1
         assert "DSE_LINK_THREADS" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_output_reports_error(self, tmp_path, capsys):
+        scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
+        out = tmp_path / "missing_dir" / "results.csv"
+        code = main(
+            ["simulate", scen, "--iterations", "5", "--seed", "1",
+             "--output", str(out)]
+        )
+        assert code != 0
+        assert "error:" in capsys.readouterr().err
+
+    def test_missing_output_dir_error_names_requested_path(self, tmp_path, capsys):
+        scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
+        out = tmp_path / "missing_dir" / "results.csv"
+        code = main(
+            ["simulate", scen, "--iterations", "5", "--seed", "1",
+             "--output", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(out) in err
+        assert ".tmp" not in err
 
     def test_output_is_directory_leaves_no_debris(self, tmp_path, capsys):
         scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
