@@ -47,14 +47,11 @@ class RematchSample:
         codes = np.asarray(self.outcomes)
         if codes.ndim != 1:
             raise ValueError("outcomes must be one-dimensional")
-        kind = codes.dtype.kind
-        if kind in "iu":
-            valid = codes.min(initial=0) >= -1 and codes.max(initial=0) <= 1
-        else:
-            # bool and float only, compared before any cast: casting NaN, inf,
-            # 1e300 or a complex code to int warns, and an object one may raise
-            valid = kind in "bf" and ((codes == 0) | (codes == 1) | (codes == -1)).all()
-        if not valid:
+        # bool, integer and float only, compared before any cast: casting NaN,
+        # inf, 1e300 or a complex code to int warns, and an object one may raise
+        if codes.dtype.kind not in "biuf" or not (
+            (codes == 0) | (codes == 1) | (codes == -1)
+        ).all():
             raise ValueError("outcome codes must be one of {+1, -1, 0}")
         object.__setattr__(self, "outcomes", codes.astype(np.int8))
         object.__setattr__(self, "n1plus", integer_count("n1plus", self.n1plus))
@@ -71,17 +68,6 @@ class RematchSample:
     @property
     def n_r(self) -> int:
         return self.outcomes.size
-
-    @property
-    def f(self) -> float:
-        """Sampling fraction n_r / n1plus."""
-        return self.n_r / self.n1plus
-
-    @property
-    def s2_y(self) -> float:
-        """Sample variance of the codes, divisor n_r - 1, from exact integer sums."""
-        total = int(self.outcomes.sum())
-        return code_variance(total, int(np.count_nonzero(self.outcomes)), self.n_r)
 
 
 @dataclass(frozen=True)
@@ -128,12 +114,15 @@ def ht_nu(sample: RematchSample) -> NuEstimate:
     number of linkage errors over the source-1 frame.
 
     Returns nu_hat = (n1plus / n_r) * sum(codes) together with its
-    estimated variance n1plus**2 * (1 - f) / n_r * s2_y. A census rematch
-    (n_r = n1plus) has zero variance exactly.
+    estimated variance n1plus**2 * (1 - f) / n_r * s2_y, where s2_y is the
+    sample variance of the codes (divisor n_r - 1) from their exact integer
+    sums. A census rematch (n_r = n1plus) has zero variance exactly.
     """
-    nu_hat = expansion_total(sample.n1plus, sample.n_r, int(sample.outcomes.sum()))
-    sigma2 = float(srswor_total_variance(sample.n1plus, sample.n_r, sample.s2_y))
-    return NuEstimate(nu_hat, sigma2)
+    codes, n1plus, n_r = sample.outcomes, sample.n1plus, sample.n_r
+    total = int(codes.sum())
+    s2_y = code_variance(total, int(np.count_nonzero(codes)), n_r)
+    sigma2 = float(srswor_total_variance(n1plus, n_r, s2_y))
+    return NuEstimate(expansion_total(n1plus, n_r, total), sigma2)
 
 
 def plan_sample_size(
@@ -174,7 +163,7 @@ def plan_sample_size(
     eta_bar = anticipated.fpr * capture.p1plus * capture.pplus0 * n_guess
     if pi_bar + eta_bar > n1plus:
         raise ValueError(
-            f"anticipated error totals ({pi_bar + eta_bar:.1f}) exceed the "
+            f"anticipated error totals ({pi_bar + eta_bar:.6g}) exceed the "
             f"source-1 frame size {n1plus}"
         )
     s2 = (pi_bar + eta_bar) / n1plus - ((pi_bar - eta_bar) / n1plus) ** 2

@@ -202,19 +202,22 @@ def inject_linkage_errors(
     return TrueLinkageState(counts, codes, pi, eta, counts_star)
 
 
+def _rematch_size(f: float, n1plus):
+    """The rematch sample size for a source-1 frame of ``n1plus`` records,
+    an int or an int64 array: f * n1plus rounded half up, and at least 2."""
+    return np.maximum(2, np.floor(f * n1plus + 0.5).astype(np.int64))
+
+
 def draw_rematch(
     state: TrueLinkageState, f: float, rng: np.random.Generator
 ) -> RematchSample:
-    """Draw round(f * n1plus) source-1 records without replacement and
-    read off their error codes (error detection is perfect).
-
-    Rounding is half-up with a minimum sample of 2.
-    """
+    """Draw ``_rematch_size(f, n1plus)`` source-1 records without
+    replacement and read off their error codes (error detection is
+    perfect)."""
     n1plus = state.counts_true.n1plus
     if n1plus < 2:
         raise SampleTooSmall(f"source-1 frame has {n1plus} records, need >= 2")
-    n_r = max(2, math.floor(f * n1plus + 0.5))
-    indices = rng.choice(n1plus, size=n_r, replace=False)
+    indices = rng.choice(n1plus, size=_rematch_size(f, n1plus), replace=False)
     return RematchSample(state.source1_codes[indices], n1plus=n1plus)
 
 
@@ -254,10 +257,9 @@ def _draw_counts(
     key += (config.fpr,)
     (eta,) = _stage(store, key, rng, lambda: (rng.binomial(n10, config.fpr),))
     n1plus = n11 + n10
-    # draw_rematch's sample size. A frame of fewer than 2 records excludes
-    # the iteration; capping n_r at the frame keeps its draw defined.
-    n_r = np.maximum(2, np.floor(config.f * n1plus + 0.5).astype(np.int64))
-    n_r = np.minimum(n_r, n1plus)
+    # A frame of fewer than 2 records excludes the iteration; capping n_r
+    # at the frame keeps its draw defined.
+    n_r = np.minimum(_rematch_size(config.f, n1plus), n1plus)
     plus = rng.hypergeometric(pi, n1plus - pi, n_r)
     minus = rng.hypergeometric(eta, n1plus - pi - eta, n_r - plus)
     return dict(

@@ -490,6 +490,13 @@ EXPECTED_FAILURES = [
         id="plan-nan-target",
     ),
     pytest.param(
+        ["plan", "--n1", "900", "--p1", "0.9", "--p2", "0.8", "--N", "1e308",
+         "--fnr", "0.02", "--fpr", "0.05", "--target-rse", "0.02"],
+        "error: ValueError: anticipated error totals (2.34e+306) exceed the "
+        "source-1 frame size 900\n",
+        id="plan-error-totals-exceed-frame",
+    ),
+    pytest.param(
         ["plan", "--n1", "900", "--p1", "1e-160", "--p2", "0.5", "--N", "1e160",
          "--fnr", "0", "--fpr", "0", "--target-rse", "0.5"],
         "error: ValueError: variances overflow at n_guess=1e+160: target inf, "

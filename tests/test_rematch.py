@@ -33,16 +33,26 @@ class TestRematchSample:
     def test_derived_quantities(self):
         s = RematchSample([1, 1, -1] + [0] * 87, n1plus=900)
         assert s.n_r == 90
-        assert s.f == pytest.approx(0.1)
         # sample variance via its definitional two-pass form
         codes = np.array([1, 1, -1] + [0] * 87, dtype=float)
-        assert s.s2_y == pytest.approx(
-            ((codes - codes.mean()) ** 2).sum() / 89, rel=1e-12
+        s2_y = ((codes - codes.mean()) ** 2).sum() / 89
+        assert ht_nu(s).sigma2_eps == pytest.approx(
+            900**2 * (1 - 90 / 900) / 90 * s2_y, rel=1e-12
         )
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64, bool, np.float64])
+    def test_accepts_codes_of_each_real_dtype(self, dtype):
+        codes = [1, 0, 0, 1] if dtype in (np.uint8, bool) else [1, -1, 0, 1]
+        sample = RematchSample(np.array(codes, dtype=dtype), n1plus=10)
+        assert sample.outcomes.dtype == np.int8
+        assert sample.outcomes.tolist() == codes
 
     def test_rejects_bad_codes(self):
         with pytest.raises(ValueError):
             RematchSample([0, 2], n1plus=10)
+        # 255 is -1 wrapped to uint8, not a code
+        with pytest.raises(ValueError):
+            RematchSample(np.array([0, 255], dtype=np.uint8), n1plus=10)
         with pytest.raises(ValueError):
             RematchSample([0.5, 0.5], n1plus=10)
         # a cast to int would warn on these before any ValueError
@@ -270,6 +280,44 @@ class TestPlanSampleSize:
             900, ErrorRates(0.02, 0.05), self.CAPTURE, 1000.0, target
         )
         assert abs(planned - 180) <= 15
+
+    # Relative band for |ERSE / target - 1| at the planned size, from:
+    # - the approximation error: at 2 * 10**6 iterations (seed 777) the five
+    #   plans below give ERSE / target - 1 of -0.444%, -0.087%, +0.298%,
+    #   +0.056% and -0.010%, each with MCSE 0.056%; so at most
+    #   0.444% + 3 * 0.056% < 0.6%;
+    # - k MCSE: the relative MCSE of an sd over R draws is
+    #   sqrt((kurtosis - 1) / (4 * (R - 1))); the measured kurtosis of the
+    #   corrected estimates is at most 3.5, which gives 0.250% at R = 10**5.
+    #   A family-wise false-alarm rate of 10**-6 over the five plans takes a
+    #   two-sided 2 * 10**-7 per plan, k = 5.2.
+    # Band: 0.6% + 5.2 * 0.250% = 1.9%.
+    PLAN_LOOP_BAND = 0.006 + 5.2 * math.sqrt((3.5 - 1) / (4 * (10**5 - 1)))
+
+    @pytest.mark.parametrize(
+        "N, p1, p2, fnr, fpr, target_rse",
+        [
+            (1000, 0.9, 0.8, 0.02, 0.05, 0.02),
+            (1000, 0.9, 0.8, 0.05, 0.08, 0.025),
+            (1000, 0.8, 0.7, 0.05, 0.08, 0.035),
+            (1000, 0.8, 0.7, 0.02, 0.05, 0.03),
+            (10000, 0.8, 0.7, 0.05, 0.08, 0.012),
+        ],
+    )
+    def test_planned_size_meets_target_in_simulation(self, N, p1, p2, fnr, fpr, target_rse):
+        # simulate the planned study: the rematch fraction that gives the
+        # planned size at the expected source-1 frame round(N * p1)
+        from dse_link import ScenarioConfig, run_scenario
+
+        n1plus = round(N * p1)
+        n_r = plan_sample_size(
+            n1plus, ErrorRates(fnr, fpr), CaptureProbabilities(p1, p2), float(N), target_rse
+        )
+        summary = run_scenario(
+            ScenarioConfig(p1, p2, fnr, fpr, n_r / n1plus, seed=12345, N=N, iterations=10**5)
+        )
+        erse = summary.corrected.erse_pct / 100.0
+        assert abs(erse / target_rse - 1) <= self.PLAN_LOOP_BAND
 
 
 def test_nu_estimate_carrier():
