@@ -289,8 +289,7 @@ def cmd_simulate(args) -> int:
                     f"scenario p1={config.p1plus} p2={config.pplus1} "
                     f"fnr={config.fnr} fpr={config.fpr} f={config.f}: "
                     f"completed={summary.iterations_completed} "
-                    f"arse_root_mean_var="
-                    f"{'NA' if alt is None else format(alt, '.4f')}%",
+                    f"arse_root_mean_var={'NA' if alt is None else f'{alt:.4f}%'}",
                     file=sys.stderr,
                 )
 
@@ -401,7 +400,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if isinstance(exc, Infeasible) and exc.min_achievable_rse is not None:
+        if isinstance(exc, Infeasible):
             print(f"minimum achievable rse: {exc.min_achievable_rse:.6f}", file=sys.stderr)
         return 1
 

@@ -31,7 +31,7 @@ class SampleExceedsFrame(EstimationError):
 class Infeasible(EstimationError):
     """No rematch sample size can reach the requested precision."""
 
-    def __init__(self, message: str, min_achievable_rse: float | None = None):
+    def __init__(self, message: str, min_achievable_rse: float):
         super().__init__(message)
         self.min_achievable_rse = min_achievable_rse
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -105,35 +105,32 @@ class ScenarioConfig:
 @dataclass(frozen=True, eq=False)
 class TrueLinkageState:
     """Ground truth for one iteration: error-free counts, injected error
-    totals, the error-afflicted counts, and per-record flags.
+    totals, per-record flags, and the error-afflicted counts derived from
+    them.
 
     ``source1_codes`` has one entry per source-1 record (matched records
     first): +1 for an injected false negative, -1 for an injected false
-    positive, 0 otherwise.
+    positive, 0 otherwise. ``counts_star`` keeps the margins and observes
+    n11 - pi + eta matches; construction raises InvalidCounts when
+    spurious links push that past nplus1.
     """
 
     counts_true: ContingencyCounts
     source1_codes: np.ndarray
     pi: int = 0
     eta: int = 0
-    counts_star: ContingencyCounts | None = None
+    counts_star: ContingencyCounts = field(init=False)
 
     def __post_init__(self):
-        if self.counts_star is None:
-            object.__setattr__(self, "counts_star", self.counts_true)
-        if not 0 <= self.pi <= self.counts_true.n11:
-            raise ValueError(f"pi={self.pi} outside [0, n11={self.counts_true.n11}]")
-        if not 0 <= self.eta <= self.counts_true.n10:
-            raise ValueError(f"eta={self.eta} outside [0, n10={self.counts_true.n10}]")
-        if (
-            self.counts_star.n1plus != self.counts_true.n1plus
-            or self.counts_star.nplus1 != self.counts_true.nplus1
-        ):
-            raise ValueError("linkage errors must not alter the margins")
-        if self.counts_star.n11 != self.counts_true.n11 - self.pi + self.eta:
-            raise ValueError("counts_star.n11 inconsistent with pi and eta")
-        if len(self.source1_codes) != self.counts_true.n1plus:
+        true = self.counts_true
+        if not 0 <= self.pi <= true.n11:
+            raise ValueError(f"pi={self.pi} outside [0, n11={true.n11}]")
+        if not 0 <= self.eta <= true.n10:
+            raise ValueError(f"eta={self.eta} outside [0, n10={true.n10}]")
+        if len(self.source1_codes) != true.n1plus:
             raise ValueError("need one code per source-1 record")
+        star = ContingencyCounts(true.n1plus, true.nplus1, true.n11 - self.pi + self.eta)
+        object.__setattr__(self, "counts_star", star)
 
 
 @dataclass(frozen=True)
@@ -196,10 +193,7 @@ def inject_linkage_errors(
     codes[counts.n11 :][false_pos] = -1
     pi = int(np.count_nonzero(false_neg))
     eta = int(np.count_nonzero(false_pos))
-    counts_star = ContingencyCounts(
-        counts.n1plus, counts.nplus1, counts.n11 - pi + eta
-    )
-    return TrueLinkageState(counts, codes, pi, eta, counts_star)
+    return TrueLinkageState(counts, codes, pi, eta)
 
 
 def _rematch_size(f: float, n1plus):

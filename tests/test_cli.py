@@ -94,6 +94,20 @@ class TestEstimateCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["nu_hat"] == 10.0
 
+    def test_blank_lines_in_rematch_file_skipped(self, tmp_path, capsys):
+        reports = []
+        for name, text in (("plain.csv", "+1\n0\n-1\n0\n0\n"),
+                           ("blank.csv", "\n+1\n0\n\n-1\n  \n0\n0\n\n")):
+            codes = tmp_path / name
+            codes.write_text(text, encoding="utf-8")
+            assert main(
+                ["estimate", "--n1", "10", "--n2", "8", "--m", "4",
+                 "--rematch", str(codes), "--json"]
+            ) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[1] == reports[0]
+        assert json.loads(reports[0])["nu_hat"] == 0.0
+
     def test_missing_rematch_file_diagnostic(self, capsys):
         code = main(
             ["estimate", "--n1", "900", "--n2", "800", "--m", "710",
@@ -189,6 +203,37 @@ class TestSimulateCommand:
         assert columns["erse_dse"] == "NA"
         assert columns["erse_corrected"] == "NA"
         assert columns["erb_corrected"] != "NA"
+        seed, rows = parse_results_csv(out)
+        assert [rows[0][f"erse_{name}"] for name in ("dse", "uncorrected", "corrected")] == [
+            None, None, None
+        ]
+        assert rows[0]["erb_corrected"] is not None
+        assert render_csv(rows, seed) == out
+
+    def test_verbose_reports_each_row_on_stderr(self, tmp_path, capsys):
+        # fnr = 1 with fpr = 0 leaves no observed match: no iteration completes
+        scen = write_scenarios(
+            tmp_path / "s.csv",
+            ["0.9,0.8,0.02,0.05,0.2", "0.9,0.8,1.0,0.0,0.5", "0.8,0.7,0.05,0.08,0.1"],
+        )
+        argv = ["simulate", scen, "--iterations", "50", "--seed", "6"]
+        assert main(argv) == 0
+        quiet = capsys.readouterr()
+        assert main(argv + ["--verbose"]) == 0
+        verbose = capsys.readouterr()
+        assert quiet.err == ""
+        assert verbose.out == quiet.out
+        metrics = r"completed=\d+ arse_root_mean_var=\d+\.\d{4}%"
+        expected = [
+            re.escape("scenario p1=0.9 p2=0.8 fnr=0.02 fpr=0.05 f=0.2: ") + metrics,
+            re.escape("scenario p1=0.9 p2=0.8 fnr=1.0 fpr=0.0 f=0.5: completed=0 ")
+            + "arse_root_mean_var=NA",
+            re.escape("scenario p1=0.8 p2=0.7 fnr=0.05 fpr=0.08 f=0.1: ") + metrics,
+        ]
+        lines = verbose.err.splitlines()
+        assert len(lines) == len(expected)
+        for line, pattern in zip(lines, expected):
+            assert re.fullmatch(pattern, line), line
 
     def test_markdown_format(self, tmp_path, capsys):
         scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
@@ -467,9 +512,29 @@ EXPECTED_FAILURES = [
         id="bad-code-row",
     ),
     pytest.param(
+        ESTIMATE_ARGS + ["--m", "710", "--rematch", "letter.csv"],
+        "error: ValueError: letter.csv: row 2: not a code: 'x'\n",
+        id="non-integer-code-row",
+    ),
+    pytest.param(
         SIMULATE_ARGS + ["bad.csv"],
         "error: ScenarioFileError: row 3: could not convert string to float: 'nope'\n",
         id="malformed-scenario-row",
+    ),
+    pytest.param(
+        SIMULATE_ARGS + ["empty.csv"],
+        "error: ScenarioFileError: scenario file is empty\n",
+        id="empty-scenario-file",
+    ),
+    pytest.param(
+        SIMULATE_ARGS + ["header.csv"],
+        "error: ScenarioFileError: scenario file has no scenario rows\n",
+        id="header-only-scenario-file",
+    ),
+    pytest.param(
+        SIMULATE_ARGS + ["wide.csv"],
+        "error: ScenarioFileError: row 2: too many fields\n",
+        id="scenario-row-with-sixth-field",
     ),
     pytest.param(
         SIMULATE_ARGS[:-1] + ["missing_dir/out.csv", "scen.csv"],
@@ -565,8 +630,12 @@ def test_expected_failure_is_one_error_line_and_exit_1(
     stdout, the diagnostic on stderr, and no result file."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "codes.csv").write_text("0\n2\n", encoding="utf-8")
+    (tmp_path / "letter.csv").write_text("0\nx\n", encoding="utf-8")
     write_scenarios(tmp_path / "scen.csv", ["0.9,0.8,0.02,0.05,0.2"])
     write_scenarios(tmp_path / "bad.csv", ["0.9,0.8,0.02,0.05,0.2", "0.9,0.8,nope,0.05,0.2"])
+    (tmp_path / "empty.csv").write_text("", encoding="utf-8")
+    write_scenarios(tmp_path / "header.csv", [])
+    write_scenarios(tmp_path / "wide.csv", ["0.9,0.8,0.02,0.05,0.2,7"])
     (tmp_path / "latin1.csv").write_bytes(
         "p1,p2,fnr,fpr,f\n0.9,0.8,0.02,0.05,0.2\n# café\n".encode("latin-1")
     )

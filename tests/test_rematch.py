@@ -76,6 +76,15 @@ class TestRematchSample:
         with pytest.raises(SampleExceedsFrame):
             RematchSample([0, 0, 0], n1plus=2)
 
+    def test_rejects_two_dimensional_outcomes(self):
+        with pytest.raises(ValueError, match="^outcomes must be one-dimensional$"):
+            RematchSample(np.zeros((2, 2), np.int8), n1plus=10)
+
+    @pytest.mark.parametrize("n1plus", [0, -5])
+    def test_rejects_frame_below_one_record(self, n1plus):
+        with pytest.raises(ValueError, match=f"^n1plus must be >= 1, got {n1plus}$"):
+            RematchSample([0, 1], n1plus=n1plus)
+
     @pytest.mark.parametrize("n1plus", [2.5, True])
     def test_rejects_non_integer_frame(self, n1plus):
         # 2.5 would otherwise give f = 0.8 and scale nu_hat by 1.25

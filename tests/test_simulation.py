@@ -173,25 +173,31 @@ class TestDrawRematch:
 
 
 class TestTrueLinkageState:
-    def test_rejects_margin_changes(self):
-        with pytest.raises(ValueError):
-            TrueLinkageState(
-                ContingencyCounts(10, 10, 5),
-                np.zeros(10, np.int8),
-                pi=0,
-                eta=0,
-                counts_star=ContingencyCounts(11, 10, 5),
-            )
+    def test_counts_star_derived_from_errors(self):
+        counts, codes = ContingencyCounts(10, 8, 5), np.zeros(10, np.int8)
+        assert TrueLinkageState(counts, codes, pi=1, eta=3).counts_star == (
+            ContingencyCounts(10, 8, 7)
+        )
+        with pytest.raises(TypeError):
+            TrueLinkageState(counts, codes, counts_star=counts)
+        # spurious links push n11* = 5 + 4 past nplus1 = 8
+        with pytest.raises(
+            InvalidCounts, match=r"^n11=9 exceeds a margin \(n1plus=10, nplus1=8\)$"
+        ):
+            TrueLinkageState(counts, codes, pi=0, eta=4)
 
-    def test_rejects_inconsistent_star_count(self):
-        with pytest.raises(ValueError):
-            TrueLinkageState(
-                ContingencyCounts(10, 10, 5),
-                np.zeros(10, np.int8),
-                pi=1,
-                eta=0,
-                counts_star=ContingencyCounts(10, 10, 5),
-            )
+    @pytest.mark.parametrize(
+        "errors, message",
+        [
+            (dict(pi=6), r"pi=6 outside \[0, n11=5\]"),
+            (dict(pi=-1), r"pi=-1 outside \[0, n11=5\]"),
+            (dict(eta=6), r"eta=6 outside \[0, n10=5\]"),
+            (dict(eta=-1), r"eta=-1 outside \[0, n10=5\]"),
+        ],
+    )
+    def test_rejects_error_totals_outside_their_cells(self, errors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TrueLinkageState(ContingencyCounts(10, 10, 5), np.zeros(10, np.int8), **errors)
 
     def test_rejects_wrong_flag_length(self):
         with pytest.raises(ValueError):
@@ -530,9 +536,7 @@ def scalar_estimates(n1plus, nplus1, n11, pi, eta, n_r, plus, minus):
         # spurious links can push n11 past nplus1 (InvalidCounts)
         counts_star = ContingencyCounts(n1plus, nplus1, n11 - pi + eta)
         if n1plus < 2:
-            state = TrueLinkageState(
-                counts_true, np.zeros(n1plus, np.int8), pi, eta, counts_star
-            )
+            state = TrueLinkageState(counts_true, np.zeros(n1plus, np.int8), pi, eta)
             draw_rematch(state, 1.0, np.random.default_rng(0))
         codes = [1] * plus + [-1] * minus + [0] * (n_r - plus - minus)
         nu = ht_nu(RematchSample(codes, n1plus=n1plus))
@@ -547,6 +551,22 @@ def scalar_estimates(n1plus, nplus1, n11, pi, eta, n_r, plus, minus):
         )
     except EstimationError:
         return None
+
+
+def assert_fits_law(seen, expected):
+    """Chi-square goodness of fit of the observed outcome counts ``seen`` to
+    the ``expected`` ones, both keyed by outcome: no outcome outside the
+    law, and with the outcomes expected fewer than 5 times pooled, a
+    Wilson-Hilferty z of at most 6."""
+    assert [state for state in seen if state not in expected] == []
+    cells = [(seen.get(state, 0), e) for state, e in expected.items() if e >= 5]
+    rare = [(seen.get(state, 0), e) for state, e in expected.items() if e < 5]
+    cells.append((sum(o for o, _ in rare), sum(e for _, e in rare)))
+    chi2 = sum((o - e) ** 2 / e for o, e in cells)
+    df = len(cells) - 1
+    # Wilson-Hilferty: (chi2 / df) ** (1/3) is about normal
+    z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    assert z <= 6, (chi2, df, z)
 
 
 class TestCountEngine:
@@ -584,17 +604,7 @@ class TestCountEngine:
 
         states, observed = np.unique(code(counts[name] for name in COUNT_NAMES), return_counts=True)
         seen = dict(zip(states.tolist(), observed.tolist()))
-        expected = {code(state): draws * p for state, p in law.items()}
-        assert [state for state in seen if state not in expected] == []
-        # chi-square with the states expected fewer than 5 times pooled
-        cells = [(seen.get(state, 0), e) for state, e in expected.items() if e >= 5]
-        rare = [(seen.get(state, 0), e) for state, e in expected.items() if e < 5]
-        cells.append((sum(o for o, _ in rare), sum(e for _, e in rare)))
-        chi2 = sum((o - e) ** 2 / e for o, e in cells)
-        df = len(cells) - 1
-        # Wilson-Hilferty: (chi2 / df) ** (1/3) is about normal
-        z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
-        assert z <= 6, (chi2, df, z)
+        assert_fits_law(seen, {code(state): draws * p for state, p in law.items()})
 
     @pytest.mark.parametrize(
         "rates",
@@ -635,16 +645,7 @@ class TestCountEngine:
             true = state.counts_true
             rematch = (len(codes), np.count_nonzero(codes == 1), np.count_nonzero(codes == -1))
             seen[(true.n1plus, true.nplus1, true.n11, state.pi, state.eta) + rematch] += 1
-        assert [state for state in seen if state not in expected] == []
-        # chi-square with the outcomes expected fewer than 5 times pooled
-        cells = [(seen[state], draws * p) for state, p in expected.items() if draws * p >= 5]
-        rare = [(seen[state], draws * p) for state, p in expected.items() if draws * p < 5]
-        cells.append((sum(o for o, _ in rare), sum(e for _, e in rare)))
-        chi2 = sum((o - e) ** 2 / e for o, e in cells)
-        df = len(cells) - 1
-        # Wilson-Hilferty: (chi2 / df) ** (1/3) is about normal
-        z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
-        assert z <= 6, (chi2, df, z)
+        assert_fits_law(seen, {state: draws * p for state, p in expected.items()})
 
     def test_count_moments_match_record_level_oracle(self):
         # one grid row; the record-level stages are the reference
