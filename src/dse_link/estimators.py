@@ -67,21 +67,6 @@ class ContingencyCounts:
                 f"(n1plus={self.n1plus}, nplus1={self.nplus1})"
             )
 
-    @property
-    def n10(self) -> int:
-        """Records in source 1 only."""
-        return self.n1plus - self.n11
-
-    @property
-    def n01(self) -> int:
-        """Records in source 2 only."""
-        return self.nplus1 - self.n11
-
-    @property
-    def n(self) -> int:
-        """Distinct records observed in either source."""
-        return self.n1plus + self.nplus1 - self.n11
-
 
 @dataclass(frozen=True)
 class CaptureProbabilities:
@@ -95,14 +80,6 @@ class CaptureProbabilities:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
-
-    @property
-    def p0plus(self) -> float:
-        return 1.0 - self.p1plus
-
-    @property
-    def pplus0(self) -> float:
-        return 1.0 - self.pplus1
 
     @property
     def p11(self) -> float:

@@ -35,6 +35,10 @@ class Infeasible(EstimationError):
         super().__init__(message)
         self.min_achievable_rse = min_achievable_rse
 
+    def __reduce__(self):
+        # BaseException's would rebuild from args alone, without the floor
+        return type(self), (str(self), self.min_achievable_rse)
+
 
 @dataclass(frozen=True, eq=False)
 class RematchSample:
@@ -160,7 +164,7 @@ def plan_sample_size(
         raise ValueError(f"target_rse must be finite and positive, got {target_rse}")
 
     pi_bar = anticipated.fnr * capture.p11 * n_guess
-    eta_bar = anticipated.fpr * capture.p1plus * capture.pplus0 * n_guess
+    eta_bar = anticipated.fpr * capture.p1plus * (1.0 - capture.pplus1) * n_guess
     if pi_bar + eta_bar > n1plus:
         raise ValueError(
             f"anticipated error totals ({pi_bar + eta_bar:.6g}) exceed the "

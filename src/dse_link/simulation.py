@@ -125,8 +125,9 @@ class TrueLinkageState:
         true = self.counts_true
         if not 0 <= self.pi <= true.n11:
             raise ValueError(f"pi={self.pi} outside [0, n11={true.n11}]")
-        if not 0 <= self.eta <= true.n10:
-            raise ValueError(f"eta={self.eta} outside [0, n10={true.n10}]")
+        n10 = true.n1plus - true.n11
+        if not 0 <= self.eta <= n10:
+            raise ValueError(f"eta={self.eta} outside [0, n10={n10}]")
         if len(self.source1_codes) != true.n1plus:
             raise ValueError("need one code per source-1 record")
         star = ContingencyCounts(true.n1plus, true.nplus1, true.n11 - self.pi + self.eta)
@@ -187,7 +188,7 @@ def inject_linkage_errors(
     """
     counts = state.counts_true
     false_neg = rng.random(counts.n11) < fnr
-    false_pos = rng.random(counts.n10) < fpr
+    false_pos = rng.random(counts.n1plus - counts.n11) < fpr
     codes = np.zeros(counts.n1plus, np.int8)
     codes[: counts.n11][false_neg] = 1
     codes[counts.n11 :][false_pos] = -1

@@ -38,22 +38,21 @@ class MultinomialMoments:
 def multinomial_moments(N: float, capture: CaptureProbabilities) -> MultinomialMoments:
     """Variances and covariances of (n1plus, nplus1, n11).
 
-    The margins are uncorrelated, Cov(n1plus, n11) = N*p11*p0plus and
-    Cov(nplus1, n11) = N*p11*pplus0; the test suite checks all six moments
-    against simulation.
+    The margins are uncorrelated, Cov(n1plus, n11) = N*p11*(1 - p1plus)
+    and Cov(nplus1, n11) = N*p11*(1 - pplus1); the test suite checks all
+    six moments against simulation.
     """
     if not N > 0:
         raise ValueError(f"N must be positive, got {N}")
-    p1, p2 = capture.p1plus, capture.pplus1
-    p11 = p1 * p2
+    p1, p2, p11 = capture.p1plus, capture.pplus1, capture.p11
     var_n11 = N * p11 * (1.0 - p11)
     return MultinomialMoments(
         var_n1plus=N * p1 * (1.0 - p1),
         var_nplus1=N * p2 * (1.0 - p2),
         var_n11=var_n11,
         cov_n1plus_nplus1=0.0,
-        cov_n1plus_n11=N * p11 * capture.p0plus,
-        cov_nplus1_n11=N * p11 * capture.pplus0,
+        cov_n1plus_n11=N * p11 * (1.0 - p1),
+        cov_nplus1_n11=N * p11 * (1.0 - p2),
     )
 
 
@@ -68,7 +67,7 @@ def naive_variance_approx(
 ) -> float:
     """Linearized variance of the corrected estimator.
 
-    Equals the dual system estimator's, N * p0plus * pplus0 / p11 (its
+    Equals the dual system estimator's, N*(1 - p1plus)*(1 - pplus1)/p11 (its
     value at sigma2_eps = 0), plus sigma2_eps / p11**2, where p11 =
     p1plus * pplus1 and sigma2_eps is the variance of the rematch
     correction. Raises ValueError when p11**2 underflows to 0.

@@ -516,6 +516,41 @@ EXPECTED_FAILURES = [
         "error: ValueError: letter.csv: row 2: not a code: 'x'\n",
         id="non-integer-code-row",
     ),
+    # each estimate precondition, as the library raises it
+    pytest.param(
+        ESTIMATE_ARGS + ["--m", "710", "--rematch", "no_codes.csv"],
+        "error: SampleTooSmall: rematch sample has 0 records, need >= 2\n",
+        id="empty-rematch-file",
+    ),
+    pytest.param(
+        ["estimate", "--n1", "3", "--n2", "8", "--m", "2", "--rematch", "zeros.csv"],
+        "error: SampleExceedsFrame: rematch sample of 5 exceeds the source-1 frame of 3\n",
+        id="rematch-sample-exceeds-frame",
+    ),
+    pytest.param(
+        ["estimate", "--n1", "10", "--n2", "8", "--m", "4", "--rematch", "minus.csv"],
+        "error: NonPositiveCorrectedMatches: corrected match count n11 + nu_hat = -6.0 "
+        "is not positive\n",
+        id="non-positive-corrected-matches",
+    ),
+    pytest.param(
+        ["estimate", "--n1", "10", "--n2", "8", "--m", "4", "--rematch", "plus.csv"],
+        "error: EstimateBelowMargin: estimate 5.714285714285714 does not exceed both "
+        "list sizes (10, 8)\n",
+        id="corrected-estimate-below-margin",
+    ),
+    pytest.param(
+        ESTIMATE_ARGS + ["--m", "10", "--alpha", "0.9", "--beta", "0.5"],
+        "error: DegenerateDenominator: n11=10 does not exceed beta * n1plus = 450.0; "
+        "error rates are inconsistent with the observed match count\n",
+        id="degenerate-denominator",
+    ),
+    pytest.param(
+        ESTIMATE_ARGS + ["--m", "710", "--alpha", "0.5", "--beta", "0.5"],
+        "error: ValueError: correct-link rate alpha=0.5 must exceed false-link rate "
+        "beta=0.5\n",
+        id="alpha-not-above-beta",
+    ),
     pytest.param(
         SIMULATE_ARGS + ["bad.csv"],
         "error: ScenarioFileError: row 3: could not convert string to float: 'nope'\n",
@@ -631,6 +666,10 @@ def test_expected_failure_is_one_error_line_and_exit_1(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "codes.csv").write_text("0\n2\n", encoding="utf-8")
     (tmp_path / "letter.csv").write_text("0\nx\n", encoding="utf-8")
+    (tmp_path / "no_codes.csv").write_text("", encoding="utf-8")
+    (tmp_path / "zeros.csv").write_text("0\n" * 5, encoding="utf-8")
+    (tmp_path / "minus.csv").write_text("-1\n-1\n", encoding="utf-8")
+    (tmp_path / "plus.csv").write_text("+1\n+1\n", encoding="utf-8")
     write_scenarios(tmp_path / "scen.csv", ["0.9,0.8,0.02,0.05,0.2"])
     write_scenarios(tmp_path / "bad.csv", ["0.9,0.8,0.02,0.05,0.2", "0.9,0.8,nope,0.05,0.2"])
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")

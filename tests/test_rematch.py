@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -175,7 +177,7 @@ def anticipated_variance(n1plus, rates, capture, n_guess, n_r):
     """The planner's anticipated corrected-estimator variance at size n_r,
     with its own float expressions, so boundary cases compare exactly."""
     pi_bar = rates.fnr * capture.p11 * n_guess
-    eta_bar = rates.fpr * capture.p1plus * capture.pplus0 * n_guess
+    eta_bar = rates.fpr * capture.p1plus * (1.0 - capture.pplus1) * n_guess
     s2 = (pi_bar + eta_bar) / n1plus - ((pi_bar - eta_bar) / n1plus) ** 2
     sigma2 = n1plus**2 * s2 * (1.0 / n_r - 1.0 / n1plus)
     return naive_variance_approx(n_guess, capture, sigma2)
@@ -195,6 +197,13 @@ class TestPlanSampleSize:
                 900, ErrorRates(0.02, 0.05), self.CAPTURE, 1000.0, floor_rse * 0.9
             )
         assert exc_info.value.min_achievable_rse == pytest.approx(floor_rse, rel=1e-9)
+
+    @pytest.mark.parametrize("round_trip", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy])
+    def test_infeasible_survives_pickle_and_copy(self, round_trip):
+        restored = round_trip(Infeasible("target too small", min_achievable_rse=0.1))
+        assert type(restored) is Infeasible
+        assert str(restored) == "target too small"
+        assert restored.min_achievable_rse == 0.1
 
     def test_pinned_value_from_exhaustive_scan(self):
         rates = ErrorRates(0.02, 0.05)

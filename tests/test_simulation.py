@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import statistics
 import threading
 import tracemalloc
 
@@ -101,7 +102,13 @@ class TestInjectLinkageErrors:
             state = generate_population(config, rng)
             state = inject_linkage_errors(state, config.fnr, config.fpr, rng)
             counts = state.counts_true
-            sums += (counts.n11, counts.n10, counts.n01, state.pi, state.eta)
+            sums += (
+                counts.n11,
+                counts.n1plus - counts.n11,
+                counts.nplus1 - counts.n11,
+                state.pi,
+                state.eta,
+            )
         means = sums / reps
         N, p1, p2 = config.N, config.p1plus, config.pplus1
         expectations = np.array(
@@ -266,6 +273,59 @@ class TestRunScenario:
         assert summary.corrected.mean == pytest.approx(1000, rel=0.01)
         # uncorrected is biased upward by the net broken links
         assert summary.uncorrected.mean > summary.dse.mean
+
+    @pytest.mark.parametrize("R", [1, 2, 37, CHUNK + 1])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            dict(p1plus=0.9, pplus1=0.8, fnr=0.05, fpr=0.08, f=0.1),
+            dict(p1plus=0.9, pplus1=0.8, fnr=1.0, fpr=0.0, f=0.1),  # all excluded
+            dict(p1plus=0.99, pplus1=0.8, fnr=0.05, fpr=0.08, f=0.1),  # some excluded
+        ],
+    )
+    def test_summary_matches_aggregation_oracle(self, row, R):
+        # the summary rebuilt from each chunk's masked estimates with the
+        # statistics module: sd with divisor R - 1, and ARSE as the mean of
+        # the per-iteration RSE, not the root of the mean variance
+        config = make_config(iterations=R, **row)
+        kept = {name: [] for name in ("dse", "uncorrected", "corrected", "variance")}
+        streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
+        for k, stream in enumerate(streams):
+            size = min(R - k * CHUNK, CHUNK)
+            counts = _draw_counts(config, np.random.default_rng(stream), size)
+            ok, estimates = _estimate_counts(**counts)
+            for name, values in kept.items():
+                values.extend(estimates[name][ok].tolist())
+        N, variances = config.N, kept.pop("variance")
+        expected = []
+        for values in kept.values():
+            mean = statistics.fmean(values) if values else None
+            expected += [
+                mean,
+                None if mean is None else 100 * abs(mean - N) / N,
+                100 * statistics.stdev(values) / N if len(values) >= 2 else None,
+            ]
+        if variances:
+            expected += [
+                100 * statistics.fmean(map(math.sqrt, variances)) / N,
+                100 * math.sqrt(statistics.fmean(variances)) / N,
+            ]
+        else:
+            expected += [None, None]
+        expected += [len(variances), R - len(variances)]
+
+        summary = run_scenario(config)
+        actual = [
+            *dataclasses.astuple(summary.dse),
+            *dataclasses.astuple(summary.uncorrected),
+            *dataclasses.astuple(summary.corrected),
+            summary.arse_pct,
+            summary.arse_root_mean_var_pct,
+            summary.iterations_completed,
+            summary.exclusions,
+        ]
+        # abs as well as rel: ERB cancels near N
+        assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
 def grid_configs(seed, iterations=500):
@@ -672,8 +732,8 @@ class TestCountEngine:
             records.append(
                 (
                     true.n11,
-                    true.n10,
-                    true.n01,
+                    true.n1plus - true.n11,
+                    true.nplus1 - true.n11,
                     state.pi,
                     state.eta,
                     np.count_nonzero(outcomes == 1),

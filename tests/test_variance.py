@@ -55,7 +55,7 @@ class TestMultinomialMoments:
             assert multinomial_moments(N, CaptureProbabilities(p1, p2)).cov_n1plus_nplus1 == 0.0
 
     def test_covariances_reduce_to_independence_form(self):
-        # expanded grouping must equal N*p11*p0plus and N*p11*pplus0
+        # expanded grouping must equal N*p11*(1 - p1plus) and N*p11*(1 - pplus1)
         rng = np.random.default_rng(3)
         for _ in range(100):
             p1, p2 = rng.uniform(0.05, 0.95, size=2)
