@@ -76,43 +76,49 @@ def load_scenario_file(
     population = _flag_count("--population", population)
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle, restkey="_extra")
-        header = reader.fieldnames
-        if header is None:
-            raise ScenarioFileError("scenario file is empty")
-        missing = [c for c in SCENARIO_COLUMNS if c not in header]
-        unknown = [c for c in header if c not in SCENARIO_COLUMNS + SCENARIO_OPTIONAL]
-        if missing or unknown or len(set(header)) < len(header):
-            raise ScenarioFileError(
-                f"row 1: bad header {header}; required columns "
-                f"{','.join(SCENARIO_COLUMNS)}, optional "
-                f"{','.join(SCENARIO_OPTIONAL)}"
-            )
-        configs = []
-        for row in reader:
-            line = reader.line_num
-            if "_extra" in row:
-                raise ScenarioFileError(f"row {line}: too many fields")
-            if any(row[c] is None or row[c] == "" for c in SCENARIO_COLUMNS):
+        try:
+            header = reader.fieldnames
+            if header is None:
+                raise ScenarioFileError("scenario file is empty")
+            missing = [c for c in SCENARIO_COLUMNS if c not in header]
+            unknown = [c for c in header if c not in SCENARIO_COLUMNS + SCENARIO_OPTIONAL]
+            if missing or unknown or len(set(header)) < len(header):
                 raise ScenarioFileError(
-                    f"row {line}: every required column needs a value"
+                    f"row 1: bad header {header}; required columns "
+                    f"{','.join(SCENARIO_COLUMNS)}, optional "
+                    f"{','.join(SCENARIO_OPTIONAL)}"
                 )
-            iterations = row.get("iterations") or _flag_count("--iterations", default_iterations)
-            seed = row.get("seed") or _flag_count("--seed", default_seed)
-            try:
-                configs.append(
-                    ScenarioConfig(
-                        p1plus=float(row["p1"]),
-                        pplus1=float(row["p2"]),
-                        fnr=float(row["fnr"]),
-                        fpr=float(row["fpr"]),
-                        f=float(row["f"]),
-                        seed=int(seed),
-                        N=population,
-                        iterations=int(iterations),
+            configs = []
+            for row in reader:
+                line = reader.line_num
+                if "_extra" in row:
+                    raise ScenarioFileError(f"row {line}: too many fields")
+                if any(row[c] is None or row[c] == "" for c in SCENARIO_COLUMNS):
+                    raise ScenarioFileError(
+                        f"row {line}: every required column needs a value"
                     )
+                iterations = row.get("iterations") or _flag_count(
+                    "--iterations", default_iterations
                 )
-            except ValueError as exc:
-                raise ScenarioFileError(f"row {line}: {exc}") from exc
+                seed = row.get("seed") or _flag_count("--seed", default_seed)
+                try:
+                    configs.append(
+                        ScenarioConfig(
+                            p1plus=float(row["p1"]),
+                            pplus1=float(row["p2"]),
+                            fnr=float(row["fnr"]),
+                            fpr=float(row["fpr"]),
+                            f=float(row["f"]),
+                            seed=int(seed),
+                            N=population,
+                            iterations=int(iterations),
+                        )
+                    )
+                except ValueError as exc:
+                    raise ScenarioFileError(f"row {line}: {exc}") from exc
+        except csv.Error as exc:
+            # line_num counts the lines finished before the failing one
+            raise ScenarioFileError(f"row {reader.line_num + 1}: {exc}") from exc
     if not configs:
         raise ScenarioFileError("scenario file has no scenario rows")
     return configs
@@ -398,7 +404,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, Infeasible):
             print(f"minimum achievable rse: {exc.min_achievable_rse:.6f}", file=sys.stderr)

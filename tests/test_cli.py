@@ -108,6 +108,23 @@ class TestEstimateCommand:
         assert reports[1] == reports[0]
         assert json.loads(reports[0])["nu_hat"] == 0.0
 
+    def test_mixed_codes(self, tmp_path, capsys):
+        # nu_hat = 10 / 5 * 1; sigma2_eps = 10**2 * (1 - 5/10) / 5 * (3 - 1/5) / 4
+        codes = tmp_path / "codes.csv"
+        codes.write_text("+1\n0\n-1\n+1\n0\n", encoding="utf-8")
+        code = main(
+            ["estimate", "--n1", "10", "--n2", "8", "--m", "4", "--rematch", str(codes)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "dse: 20.000000",
+            "nu_hat: 2.000000",
+            "sigma2_eps: 7.000000",
+            "corrected: 13.333333",
+            "corrected_variance: 37.530864",
+            "corrected_rse_pct: 45.946829",
+        ]
+
     def test_missing_rematch_file_diagnostic(self, capsys):
         code = main(
             ["estimate", "--n1", "900", "--n2", "800", "--m", "710",
@@ -485,6 +502,7 @@ PLAN_ARGS = ["plan", "--n1", "900", "--p1", "0.9", "--p2", "0.8", "--N", "1000",
              "--fnr", "0.02", "--fpr", "0.05", "--target-rse"]
 ESTIMATE_ARGS = ["estimate", "--n1", "900", "--n2", "800"]
 SIMULATE_ARGS = ["simulate", "--iterations", "5", "--seed", "1", "--output", "out.csv"]
+HUGE = "1" + "0" * 400
 EXPECTED_FAILURES = [
     pytest.param(
         ESTIMATE_ARGS + ["--m", "0"],
@@ -654,6 +672,23 @@ EXPECTED_FAILURES = [
         "invalid continuation byte\n",
         id="non-utf8-scenario-file",
     ),
+    pytest.param(
+        SIMULATE_ARGS + ["long.csv"],
+        "error: ScenarioFileError: row 2: field larger than field limit (131072)\n",
+        id="oversize-scenario-field",
+    ),
+    # counts beyond the float range
+    pytest.param(
+        ["estimate", "--n1", HUGE, "--n2", HUGE, "--m", "1"],
+        "error: OverflowError: integer division result too large for a float\n",
+        id="estimate-count-overflow",
+    ),
+    pytest.param(
+        ["plan", "--n1", HUGE, "--p1", "0.9", "--p2", "0.8", "--N", "1000",
+         "--fnr", "0.02", "--fpr", "0.05", "--target-rse", "0.02"],
+        "error: OverflowError: int too large to convert to float\n",
+        id="plan-frame-overflow",
+    ),
 ]
 
 
@@ -678,6 +713,7 @@ def test_expected_failure_is_one_error_line_and_exit_1(
     (tmp_path / "latin1.csv").write_bytes(
         "p1,p2,fnr,fpr,f\n0.9,0.8,0.02,0.05,0.2\n# café\n".encode("latin-1")
     )
+    write_scenarios(tmp_path / "long.csv", ["0.9," + "8" * 131073 + ",0.02,0.05,0.2"])
     before = sorted(tmp_path.iterdir())
     assert main(argv) == 1
     captured = capsys.readouterr()
