@@ -666,6 +666,37 @@ class TestCountEngine:
         seen = dict(zip(states.tolist(), observed.tolist()))
         assert_fits_law(seen, {code(state): draws * p for state, p in law.items()})
 
+    def test_tally_draws_follow_exact_law_on_ratio_of_uniforms_branch(self):
+        # numpy draws a hypergeometric by ratio of uniforms only when
+        # 10 <= sample <= good + bad - 10, which N = 12 never reaches; here
+        # n_r is about 18 of a frame of about 36. Given the group (n1plus,
+        # pi, eta, n_r), (plus, minus) is multivariate hypergeometric. The
+        # groups of at least 1000 draws are checked together; fixing their
+        # totals takes a degree of freedom each, which assert_fits_law does
+        # not subtract, so its z runs about 1.7 low (seeds 35-40).
+        config = make_config(p1plus=0.9, pplus1=0.8, fnr=0.3, fpr=0.3, f=0.5, N=40)
+        draws = 400_000
+        counts = _draw_counts(config, np.random.default_rng(35), draws)
+        n_r = counts["n_r"]
+        assert np.mean((n_r >= 10) & (n_r <= counts["n1plus"] - 10)) > 0.9
+        names = ("n1plus", "pi", "eta", "n_r", "plus", "minus")
+        seen = collections.Counter(zip(*(counts[name].tolist() for name in names)))
+        sizes = collections.Counter()
+        for state, count in seen.items():
+            sizes[state[:4]] += count
+        sizes = {group: size for group, size in sizes.items() if size >= 1000}
+        assert sum(sizes.values()) > draws / 2
+        expected = {}
+        for (n1plus, pi, eta, n_r), size in sizes.items():
+            for plus in range(min(pi, n_r) + 1):
+                for minus in range(min(eta, n_r - plus) + 1):
+                    expected[n1plus, pi, eta, n_r, plus, minus] = (
+                        size * math.comb(pi, plus) * math.comb(eta, minus)
+                        * math.comb(n1plus - pi - eta, n_r - plus - minus)
+                        / math.comb(n1plus, n_r)
+                    )
+        assert_fits_law({state: n for state, n in seen.items() if state[:4] in sizes}, expected)
+
     @pytest.mark.parametrize(
         "rates",
         [
