@@ -10,12 +10,14 @@ The estimators read only a few counts per iteration, so ``run_scenario``
 draws those counts from their exact distributions, for a whole chunk of
 iterations at a time, and never builds the records:
 
-- the capture cells (n11, n10, n01, n00) are Multinomial(N, cell probs);
+- the capture cells, a binomial chain: n1plus ~ Binomial(N, p1plus), then
+  n11 ~ Binomial(n1plus, pplus1) and n01 ~ Binomial(N - n1plus, pplus1);
 - the missed links pi ~ Binomial(n11, fnr) and the spurious links
-  eta ~ Binomial(n10, fpr);
-- the rematch sample's +1 and -1 tallies are a multivariate
-  hypergeometric draw of n_r records from a frame of pi, eta and
-  n1plus - pi - eta records, drawn as two chained hypergeometric draws.
+  eta ~ Binomial(n1plus - n11, fpr);
+- the rematch sample's +1 and -1 tallies, multivariate hypergeometric
+  from a frame of pi, eta and n1plus - pi - eta records: the sample's
+  errors wrong ~ Hypergeometric(pi + eta, n1plus - pi - eta, n_r), then
+  their split plus ~ Hypergeometric(pi, eta, wrong), minus = wrong - plus.
 
 The estimates come from the formula functions that the scalar API
 calls, so the same counts give bit-identical estimates.
@@ -236,30 +238,28 @@ def _draw_counts(
     """Draw ``size`` iterations' counts, as int64 arrays, from the law of
     ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
     composed: the keyword arguments of ``_estimate_counts``. The capture
-    cells, missed links and spurious links are kept in ``store`` under
-    ``key`` extended by their inputs, and reused from it (see ``_stage``)."""
+    cells are a binomial chain and the rematch tallies an error count, then
+    its split (see the module docstring). The capture cells, missed links
+    and spurious links are kept in ``store`` under ``key`` extended by their
+    inputs, and reused from it (see ``_stage``)."""
     store = {} if store is None else store
-    p1, p2 = config.p1plus, config.pplus1
-    probs = [p1 * p2, p1 * (1 - p2), (1 - p1) * p2, (1 - p1) * (1 - p2)]
-    key += (size, config.N, p1, p2)
-    # n00 is unobservable, so a contiguous copy of the other cells holds 24
-    # bytes per iteration.
-    n11, n10, n01 = _stage(store, key, rng, lambda: tuple(
-        np.ascontiguousarray(rng.multinomial(config.N, probs, size=size)[:, :3].T)
+    N, p1, p2 = config.N, config.p1plus, config.pplus1
+    key += (size, N, p1, p2)
+    n1plus, n11, n01 = _stage(store, key, rng, lambda: (
+        n1 := rng.binomial(N, p1, size), rng.binomial(n1, p2), rng.binomial(N - n1, p2)
     ))
     key += (config.fnr,)
     (pi,) = _stage(store, key, rng, lambda: (rng.binomial(n11, config.fnr),))
     key += (config.fpr,)
-    (eta,) = _stage(store, key, rng, lambda: (rng.binomial(n10, config.fpr),))
-    n1plus = n11 + n10
+    (eta,) = _stage(store, key, rng, lambda: (rng.binomial(n1plus - n11, config.fpr),))
     # A frame of fewer than 2 records excludes the iteration; capping n_r
     # at the frame keeps its draw defined.
     n_r = np.minimum(_rematch_size(config.f, n1plus), n1plus)
-    plus = rng.hypergeometric(pi, n1plus - pi, n_r)
-    minus = rng.hypergeometric(eta, n1plus - pi - eta, n_r - plus)
+    wrong = rng.hypergeometric(pi + eta, n1plus - pi - eta, n_r)
+    plus = rng.hypergeometric(pi, eta, wrong)
     return dict(
         n1plus=n1plus, nplus1=n11 + n01, n11=n11, pi=pi, eta=eta,
-        n_r=n_r, plus=plus, minus=minus,
+        n_r=n_r, plus=plus, minus=wrong - plus,
     )
 
 

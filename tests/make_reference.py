@@ -24,8 +24,8 @@ percent of N), which does not assume normal estimates.
 
 Each row runs on its own, drawing every stage afresh with the engine's
 chunk streams, and keeps only per-chunk power sums, so memory stays flat
-at any iteration count. ``test_reference.py`` checks the grid against the
-file; it is not collected by pytest.
+at any iteration count. pytest does not collect this script;
+``test_reference.py`` checks the grid against the file it writes.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ METRICS = (
     "arse_corrected",
     "exclusion_rate",
 )
-COLUMNS = (
-    *KEY_COLUMNS, "seed", "iterations", *METRICS, *(f"{metric}_mcse" for metric in METRICS)
-)
+VALUE_COLUMNS = (*METRICS, *(f"{metric}_mcse" for metric in METRICS))
+COLUMNS = (*KEY_COLUMNS, "seed", "iterations", *VALUE_COLUMNS)
 
 
 def reference_row(config) -> dict:
@@ -110,9 +109,8 @@ def main(argv=None) -> None:
             row = reference_row(config)
             keys = (config.p1plus, config.pplus1, config.fnr, config.fpr, config.f)
             writer.writerow(
-                [*keys, config.seed, config.iterations, *(f"{row[c]:.12g}" for c in COLUMNS[7:])]
+                [*keys, config.seed, config.iterations, *(f"{row[c]:.12g}" for c in VALUE_COLUMNS)]
             )
-            handle.flush()
             print(*keys, flush=True)
 
 

@@ -373,17 +373,17 @@ GOLDEN_OUTPUTS = {
         ["--precision", "6"],
         "# seed=20250809\n"
         + GOLDEN_HEADER
-        + "0.9,0.8,0.02,0.05,0.2,0.037970,0.664199,0.006387,0.504578,0.828096,"
-        "1.419378,1.407356,0\n"
-        "0.8,0.7,0.05,0.08,0.1,0.022164,1.598914,0.165035,1.086883,1.604874,"
-        "4.142611,3.729878,0\n",
+        + "0.9,0.8,0.02,0.05,0.2,0.029206,0.736284,0.052881,0.485596,0.809350,"
+        "1.431800,1.409846,0\n"
+        "0.8,0.7,0.05,0.08,0.1,0.146096,1.730249,0.074686,1.020893,1.574948,"
+        "3.828342,3.716945,0\n",
     ),
     "csv-default": (
         [],
         "# seed=20250809\n"
         + GOLDEN_HEADER
-        + "0.9,0.8,0.02,0.05,0.2,0.04,0.66,0.01,0.50,0.83,1.42,1.41,0\n"
-        "0.8,0.7,0.05,0.08,0.1,0.02,1.60,0.17,1.09,1.60,4.14,3.73,0\n",
+        + "0.9,0.8,0.02,0.05,0.2,0.03,0.74,0.05,0.49,0.81,1.43,1.41,0\n"
+        "0.8,0.7,0.05,0.08,0.1,0.15,1.73,0.07,1.02,1.57,3.83,3.72,0\n",
     ),
     "markdown": (
         ["--format", "markdown"],
@@ -394,10 +394,10 @@ GOLDEN_OUTPUTS = {
         "| exclusions |\n"
         "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | --- "
         "| --- | --- |\n"
-        "| 0.9 | 0.8 | 0.02 | 0.05 | 0.2 | 0.04 | 0.66 | 0.01 | 0.50 | 0.83 "
-        "| 1.42 | 1.41 | 0 |\n"
-        "| 0.8 | 0.7 | 0.05 | 0.08 | 0.1 | 0.02 | 1.60 | 0.17 | 1.09 | 1.60 "
-        "| 4.14 | 3.73 | 0 |\n",
+        "| 0.9 | 0.8 | 0.02 | 0.05 | 0.2 | 0.03 | 0.74 | 0.05 | 0.49 | 0.81 "
+        "| 1.43 | 1.41 | 0 |\n"
+        "| 0.8 | 0.7 | 0.05 | 0.08 | 0.1 | 0.15 | 1.73 | 0.07 | 1.02 | 1.57 "
+        "| 3.83 | 3.72 | 0 |\n",
     ),
 }
 
@@ -433,10 +433,10 @@ def test_simulate_output_beyond_first_chunk(tmp_path):
     assert out.read_text(encoding="utf-8") == (
         "# seed=20250809\n"
         + GOLDEN_HEADER
-        + "0.9,0.8,0.02,0.05,0.2,0.001660,0.760161,0.025481,0.529409,0.845905,"
-        "1.450223,1.412800,0\n"
-        "0.9,0.8,0.05,0.08,0.1,0.001739,3.100376,0.107705,0.529419,1.140901,"
-        "2.964964,2.911434,19\n"
+        + "0.9,0.8,0.02,0.05,0.2,0.001549,0.758313,0.007207,0.527843,0.839465,"
+        "1.444038,1.411288,0\n"
+        "0.9,0.8,0.05,0.08,0.1,0.001419,3.096172,0.109387,0.527865,1.146230,"
+        "2.977490,2.914121,19\n"
     )
 
 

@@ -18,15 +18,18 @@ from make_reference import reference_row
 SEED = 27182818  # neither the reference's seed nor any other test's
 ITERATIONS = 10**5
 
-with open(PATH, newline="", encoding="utf-8") as handle:
-    REFERENCE = list(csv.DictReader(handle))
-
-# Each metric of each row is one comparison: 12 rows x 8 metrics = 96. For
-# a family-wise false-alarm rate of at most 10**-6, Bonferroni tests each
-# at a two-sided ALPHA = 10**-6 / 96 = 1.04e-8, which a standard normal
-# exceeds in absolute value with that probability beyond K = 5.73.
-ALPHA = 1e-6 / (len(REFERENCE) * len(METRICS))
+# Each metric of each bundled row is one comparison: 12 rows x 8 metrics =
+# 96. For a family-wise false-alarm rate of at most 10**-6, Bonferroni
+# tests each at a two-sided ALPHA = 10**-6 / 96 = 1.04e-8, which a standard
+# normal exceeds in absolute value with that probability beyond K = 5.72.
+COMPARISONS = 12 * len(METRICS)
+ALPHA = 1e-6 / COMPARISONS
 K = statistics.NormalDist().inv_cdf(1 - ALPHA / 2)
+
+
+def reference_rows():
+    with open(PATH, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
 
 
 def grid_configs(iterations, seed):
@@ -80,7 +83,7 @@ def grid_z_scores() -> dict:
     z = {}
     with _shared_draws():
         summaries = [run_scenario(config) for config in grid_configs(ITERATIONS, SEED)]
-    for summary, reference in zip(summaries, REFERENCE):
+    for summary, reference in zip(summaries, reference_rows(), strict=True):
         key = tuple(reference[column] for column in KEY_COLUMNS)
         R, R_ref = summary.config.iterations, int(reference["iterations"])
         x_ref = round(float(reference["exclusion_rate"]) * R_ref)
@@ -96,11 +99,11 @@ def grid_z_scores() -> dict:
 
 def test_reference_rows_are_the_bundled_grid():
     # editing the grid without regenerating the reference fails here
-    configs = grid_configs(1, 1)
-    assert [tuple(float(row[c]) for c in KEY_COLUMNS) for row in REFERENCE] == [
-        (c.p1plus, c.pplus1, c.fnr, c.fpr, c.f) for c in configs
+    rows = reference_rows()
+    assert [tuple(float(row[c]) for c in KEY_COLUMNS) for row in rows] == [
+        (c.p1plus, c.pplus1, c.fnr, c.fpr, c.f) for c in grid_configs(1, 1)
     ]
-    for row in REFERENCE:
+    for row in rows:
         assert tuple(row) == COLUMNS
         assert all(math.isfinite(float(row[column])) for column in COLUMNS), row
         assert int(row["seed"]) != SEED
@@ -108,7 +111,7 @@ def test_reference_rows_are_the_bundled_grid():
 
 def test_grid_matches_reference_in_mcse_units():
     z = grid_z_scores()
-    assert len(z) == len(REFERENCE) * len(METRICS)
+    assert len(z) == COMPARISONS
     outside = {key: value for key, value in z.items() if abs(value) > K}
     assert not outside, (K, outside)
 

@@ -375,7 +375,7 @@ class TestHeldDraws:
 
     @pytest.mark.parametrize("order", ROW_ORDERS)
     def test_grid_draws_each_distinct_stage_once(self, monkeypatch, order):
-        calls = {"multinomial": 0, "binomial": 0}
+        calls = {"multinomial": 0, "binomial": 0, "hypergeometric": 0}
         default_rng = np.random.default_rng
 
         class CountingGenerator:
@@ -399,9 +399,10 @@ class TestHeldDraws:
         with _shared_draws():
             for config in ROW_ORDERS[order](grid_configs(seed=44)):
                 run_scenario(config)
-        # 2 capture levels, each with 2 distinct fnr (missed-link draws)
-        # and 3 error mixes (spurious-link draws)
-        assert calls == {"multinomial": 2, "binomial": 2 * (2 + 3)}
+        # 2 capture levels, each with 3 capture draws, 2 distinct fnr
+        # (missed-link draws) and 3 error mixes (spurious-link draws); 2
+        # rematch tally draws per row
+        assert calls == {"multinomial": 0, "binomial": 2 * (3 + 2 + 3), "hypergeometric": 24}
 
     def test_rows_sharing_one_rate_equal_cold_runs_in_every_order(self):
         # each row shares fnr or fpr, never both, with some other row
