@@ -20,7 +20,9 @@ iterations at a time, and never builds the records:
   their split plus ~ Hypergeometric(pi, eta, wrong), minus = wrong - plus.
 
 The estimates come from the formula functions that the scalar API
-calls, so the same counts give bit-identical estimates.
+calls, so the same counts give bit-identical estimates. Each chunk's
+completed estimates are reduced to their count, mean and central moments,
+which ``_merge`` combines, so a run holds one chunk's arrays at a time.
 
 Random streams are keyed by chunk: chunk k, iterations
 [k * CHUNK, (k + 1) * CHUNK), draws from child k of the seed's
@@ -306,22 +308,47 @@ def _estimate_counts(
     return ok, estimates
 
 
-def _completed_estimates(counts: dict) -> list:
-    """The dse, uncorrected, corrected and variance estimates of the
-    iterations of ``counts`` that no precondition excludes. The chunk's
-    other count and estimate arrays are freed as it returns."""
+def _moments(counts: dict) -> tuple:
+    """(n, mean, M2, M3, M4) of the dse, uncorrected and corrected estimates
+    and sqrt(variance) over the n iterations of ``counts`` that no
+    precondition excludes, Mk the sum of (x - mean)**k; each but n an array."""
     ok, estimates = _estimate_counts(**counts)
-    return [estimates[name][ok] for name in ("dse", "uncorrected", "corrected", "variance")]
+    columns = [estimates[name][ok] for name in ("dse", "uncorrected", "corrected")]
+    columns.append(np.sqrt(estimates["variance"][ok]))
+    n, moments = int(np.count_nonzero(ok)), []
+    for x in columns:
+        mean = x.sum() / max(n, 1)  # x.mean(), but 0 when n = 0
+        d = x - mean
+        d2 = d * d  # products: numpy's power is several times slower
+        moments.append((mean, d2.sum(), (d2 * d).sum(), (d2 * d2).sum()))
+    return (n, *np.array(moments).T)
 
 
-def _stats(values: np.ndarray, population: int) -> EstimatorStats:
-    if values.size == 0:
-        return EstimatorStats(None, None, None)
-    mean = float(values.mean())
-    erb = 100.0 * abs(mean - population) / population
-    erse = (
-        float(100.0 * values.std(ddof=1) / population) if values.size >= 2 else None
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The ``_moments`` of the union of two disjoint parts from theirs:
+    Chan, Golub & LeVeque (1979) for the mean and M2, Pebay (2008,
+    SAND2008-6212) for M3 and M4. An empty part returns the other."""
+    (na, ma, m2a, m3a, m4a), (nb, mb, m2b, m3b, m4b) = a, b
+    if not na or not nb:
+        return b if not na else a
+    n, d = na + nb, mb - ma
+    dn = d / n
+    return (
+        n,
+        ma + d * nb / n,
+        m2a + m2b + d * dn * na * nb,
+        m3a + m3b + d * dn * dn * na * nb * (na - nb) + 3 * dn * (na * m2b - nb * m2a),
+        m4a + m4b + d * dn**3 * na * nb * (na * na - na * nb + nb * nb)
+        + 6 * dn * dn * (na * na * m2b + nb * nb * m2a) + 4 * dn * (na * m3b - nb * m3a),
     )
+
+
+def _stats(n: int, mean: float, m2: float, population: int) -> EstimatorStats:
+    if not n:
+        return EstimatorStats(None, None, None)
+    mean = float(mean)
+    erb = 100.0 * abs(mean - population) / population
+    erse = 100.0 * math.sqrt(m2 / (n - 1)) / population if n >= 2 else None
     return EstimatorStats(mean, erb, erse)
 
 
@@ -339,6 +366,18 @@ def _shared_draws():
         yield
     finally:
         _store.reset(token)
+
+
+def _accumulate(config: ScenarioConfig) -> tuple:
+    """The ``_moments`` of the whole run, merged chunk by chunk."""
+    R, store = config.iterations, _store.get()
+    streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
+    moments = (0,) * 5  # no iterations
+    for k, stream in enumerate(streams):
+        size = min(R, (k + 1) * CHUNK) - k * CHUNK
+        counts = _draw_counts(config, np.random.default_rng(stream), size, store, (config.seed, k))
+        moments = _merge(moments, _moments(counts))
+    return moments
 
 
 def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
@@ -361,36 +400,15 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     fresh draw in any order of runs; on the bundled grid it holds 128
     bytes per iteration until it closes. Outside a block every stage is
     drawn afresh and nothing is held after return. Each chunk keeps only
-    its completed iterations' estimates.
+    the moments of its completed iterations (see ``_accumulate``).
     """
-    R = config.iterations
-    streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
-    columns = [[], [], [], []]  # dse, uncorrected, corrected, variance
-    store = _store.get()
-    for k, stream in enumerate(streams):
-        size = min(R, (k + 1) * CHUNK) - k * CHUNK
-        rng = np.random.default_rng(stream)
-        chunk = _completed_estimates(_draw_counts(config, rng, size, store, (config.seed, k)))
-        for column, values in zip(columns, chunk):
-            column.append(values)
-
-    # Replacing each list of parts by its concatenation frees the parts.
-    for i in range(len(columns)):
-        columns[i] = np.concatenate(columns[i])
-    est_true, est_uncorrected, est_corrected, variances = columns
-    completed = est_true.size
-    if completed:
-        arse = float(100.0 * np.sqrt(variances).mean() / config.N)
-        arse_rmv = float(100.0 * math.sqrt(variances.mean()) / config.N)
-    else:
-        arse = arse_rmv = None
+    n, mean, m2, _, _ = _accumulate(config)
+    N = config.N
     return SimulationSummary(
-        config=config,
-        dse=_stats(est_true, config.N),
-        uncorrected=_stats(est_uncorrected, config.N),
-        corrected=_stats(est_corrected, config.N),
-        arse_pct=arse,
-        arse_root_mean_var_pct=arse_rmv,
-        iterations_completed=completed,
-        exclusions=R - completed,
+        config,
+        *(_stats(n, mean[i], m2[i], N) for i in range(3)),
+        arse_pct=float(100.0 * mean[3] / N) if n else None,
+        arse_root_mean_var_pct=100.0 * math.sqrt(mean[3] ** 2 + m2[3] / n) / N if n else None,
+        iterations_completed=n,
+        exclusions=config.iterations - n,
     )

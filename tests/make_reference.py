@@ -22,9 +22,10 @@ sqrt(q * (1 - q)) for a rate q, and for ERSE the fourth-moment form
 sqrt((m4 - m2**2) / (4 * m2)), with m2 and m4 the central moments (in
 percent of N), which does not assume normal estimates.
 
-Each row runs on its own, drawing every stage afresh with the engine's
-chunk streams, and keeps only per-chunk power sums, so memory stays flat
-at any iteration count. pytest does not collect this script;
+Each row runs on its own, drawing every stage afresh. It reads the count,
+mean and central moments that ``run_scenario`` merges chunk by chunk, so
+this script and ``dselink simulate`` share one aggregation and memory
+stays flat at any iteration count. pytest does not collect this script;
 ``test_reference.py`` checks the grid against the file it writes.
 """
 
@@ -35,10 +36,8 @@ import csv
 import math
 from pathlib import Path
 
-import numpy as np
-
 from dse_link.cli import bundled_scenario_path, load_scenario_file
-from dse_link.simulation import CHUNK, _draw_counts, _estimate_counts
+from dse_link.simulation import _accumulate
 
 PATH = Path(__file__).resolve().parent / "data" / "table1_reference.csv"
 POPULATION = 1000
@@ -56,39 +55,22 @@ COLUMNS = (*KEY_COLUMNS, "seed", "iterations", *VALUE_COLUMNS)
 
 def reference_row(config) -> dict:
     """The ``METRICS`` of ``config`` and their ``_mcse`` per iteration, as
-    floats, accumulated chunk by chunk from the engine's draws. A row must
+    floats, from the moments that ``run_scenario`` aggregates. A row must
     complete at least two iterations."""
+    n, mean, m2, _, m4 = _accumulate(config)
     R, N = config.iterations, config.N
-    # per estimator, sums of d**1..d**4 with d = estimate - N: a shift by
-    # the truth keeps the fourth moment well conditioned
-    sums = {name: np.zeros(4) for name in ESTIMATORS}
-    rse_sums = np.zeros(2)  # sums of rse**1, rse**2
-    completed = 0
-    streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
-    for k, stream in enumerate(streams):
-        size = min(R - k * CHUNK, CHUNK)
-        ok, estimates = _estimate_counts(**_draw_counts(config, np.random.default_rng(stream), size))
-        completed += int(np.count_nonzero(ok))
-        for name in ESTIMATORS:
-            d = estimates[name][ok] - N
-            sums[name] += [np.sum(d**power) for power in (1, 2, 3, 4)]
-        rse = 100.0 * np.sqrt(estimates["variance"][ok]) / N
-        rse_sums += [np.sum(rse), np.sum(rse**2)]
-
-    n, scale = completed, 100.0 / N
+    scale = 100.0 / N
     row = {}
-    for name in ESTIMATORS:
-        mean, raw2, raw3, raw4 = sums[name] / n
-        m2 = raw2 - mean**2
-        m4 = raw4 - 4 * mean * raw3 + 6 * mean**2 * raw2 - 3 * mean**4
-        erse = scale * math.sqrt(m2 * n / (n - 1))
-        row[f"bias_{name}"] = scale * mean
+    for i, name in enumerate(ESTIMATORS):
+        erse = scale * math.sqrt(m2[i] / (n - 1))
+        row[f"bias_{name}"] = scale * (mean[i] - N)
         row[f"bias_{name}_mcse"] = erse
         row[f"erse_{name}"] = erse
-        row[f"erse_{name}_mcse"] = scale * math.sqrt((m4 - m2**2) / (4 * m2))
-    total, squares = rse_sums
-    row["arse_corrected"] = total / n
-    row["arse_corrected_mcse"] = math.sqrt((squares - total**2 / n) / (n - 1))
+        # central moments with divisor n
+        c2, c4 = m2[i] / n, m4[i] / n
+        row[f"erse_{name}_mcse"] = scale * math.sqrt((c4 - c2**2) / (4 * c2))
+    row["arse_corrected"] = scale * mean[3]
+    row["arse_corrected_mcse"] = scale * math.sqrt(m2[3] / (n - 1))
     rate = (R - n) / R
     row["exclusion_rate"] = rate
     row["exclusion_rate_mcse"] = math.sqrt(rate * (1 - rate))

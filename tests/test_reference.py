@@ -13,7 +13,7 @@ from dse_link import run_scenario
 from dse_link.cli import bundled_scenario_path, load_scenario_file
 from dse_link.simulation import CHUNK, _draw_counts, _estimate_counts, _shared_draws
 from make_reference import COLUMNS, ESTIMATORS, KEY_COLUMNS, METRICS, PATH, POPULATION
-from make_reference import reference_row
+from make_reference import main, reference_row
 
 SEED = 27182818  # neither the reference's seed nor any other test's
 ITERATIONS = 10**5
@@ -109,6 +109,16 @@ def test_reference_rows_are_the_bundled_grid():
         assert int(row["seed"]) != SEED
 
 
+def test_reference_generator_writes_the_grid(tmp_path):
+    path = tmp_path / "reference.csv"
+    main(["--seed", "1", "--iterations", "50", "--output", str(path)])
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert tuple(header) == COLUMNS
+    assert [len(row) for row in rows] == [len(COLUMNS)] * 12
+    assert all(math.isfinite(float(value)) for row in rows for value in row)
+
+
 def test_grid_matches_reference_in_mcse_units():
     z = grid_z_scores()
     assert len(z) == COMPARISONS
@@ -118,16 +128,14 @@ def test_grid_matches_reference_in_mcse_units():
 
 @pytest.mark.parametrize("row", [0, 5], ids=["no-exclusions", "with-exclusions"])
 def test_chunk_accumulation_matches_run_scenario(row):
-    config = grid_configs(CHUNK + 1, SEED)[row]
+    # the metrics and MCSEs from the moments that run_scenario merges
+    # chunk by chunk, against the completed estimates of all three chunks
+    # held at once
+    config = grid_configs(2 * CHUNK + 37, SEED)[row]
     reference = reference_row(config)
-    summary = run_scenario(config)
-    assert summary_metrics(summary) == pytest.approx(
-        {metric: reference[metric] for metric in METRICS}, rel=1e-9, abs=1e-9
-    )
-    # the MCSEs, from the completed estimates held at once
     kept = {name: [] for name in (*ESTIMATORS, "variance")}
-    streams = np.random.SeedSequence(config.seed).spawn(2)
-    for stream, size in zip(streams, (CHUNK, 1)):
+    streams = np.random.SeedSequence(config.seed).spawn(3)
+    for stream, size in zip(streams, (CHUNK, CHUNK, 37)):
         ok, estimates = _estimate_counts(**_draw_counts(config, np.random.default_rng(stream), size))
         for name, parts in kept.items():
             parts.append(estimates[name][ok])
@@ -136,11 +144,11 @@ def test_chunk_accumulation_matches_run_scenario(row):
         values = 100 * np.concatenate(kept[name]) / N
         centred = values - values.mean()
         m2, m4 = np.mean(centred**2), np.mean(centred**4)
-        expected[f"bias_{name}_mcse"] = values.std(ddof=1)
+        expected[f"bias_{name}"] = values.mean() - 100
+        expected[f"bias_{name}_mcse"] = expected[f"erse_{name}"] = values.std(ddof=1)
         expected[f"erse_{name}_mcse"] = math.sqrt((m4 - m2**2) / (4 * m2))
-    expected["arse_corrected_mcse"] = (100 * np.sqrt(np.concatenate(kept["variance"])) / N).std(ddof=1)
-    rate = summary.exclusions / config.iterations
-    expected["exclusion_rate_mcse"] = math.sqrt(rate * (1 - rate))
-    assert {metric: reference[metric] for metric in expected} == pytest.approx(
-        expected, rel=1e-9, abs=1e-9
-    )
+    rse = 100 * np.sqrt(np.concatenate(kept["variance"])) / N
+    expected["arse_corrected"], expected["arse_corrected_mcse"] = rse.mean(), rse.std(ddof=1)
+    rate = 1 - rse.size / config.iterations
+    expected["exclusion_rate"], expected["exclusion_rate_mcse"] = rate, math.sqrt(rate * (1 - rate))
+    assert reference == pytest.approx(expected, rel=1e-9, abs=1e-9)

@@ -274,7 +274,7 @@ class TestRunScenario:
         # uncorrected is biased upward by the net broken links
         assert summary.uncorrected.mean > summary.dse.mean
 
-    @pytest.mark.parametrize("R", [1, 2, 37, CHUNK + 1])
+    @pytest.mark.parametrize("R", [1, 2, 37, CHUNK + 1, 2 * CHUNK + 37])
     @pytest.mark.parametrize(
         "row",
         [
@@ -326,6 +326,30 @@ class TestRunScenario:
         ]
         # abs as well as rel: ERB cancels near N
         assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("na, nb", [(0, 7), (7, 0), (1, 2), (40, 3), (1000, 37)])
+    def test_merged_moments_match_concatenation(self, na, nb):
+        # unequal sizes and means: equal ones zero the M3 merge's cross
+        # terms, and M3 reaches a reported figure only through M4
+        def moments(rows):
+            # (n, mean, M2, M3, M4) per row, from exact sums
+            n = rows.shape[1]
+            means = [math.fsum(row) / n if n else 0.0 for row in rows.tolist()]
+            sums = [
+                [math.fsum((x - mean) ** k for x in row) for row, mean in zip(rows.tolist(), means)]
+                for k in (2, 3, 4)
+            ]
+            return n, *map(np.array, (means, *sums))
+
+        rng = np.random.default_rng(48)
+        scales = np.array([[1.0], [10.0], [30.0], [3.0]])  # one per row
+        a = 1000 + scales * rng.exponential(size=(4, na))
+        b = 1020 + scales * rng.gamma(2.0, size=(4, nb))
+        merged = simulation._merge(moments(a), moments(b))
+        expected = moments(np.concatenate([a, b], axis=1))
+        assert merged[0] == expected[0]
+        for actual, wanted in zip(merged[1:], expected[1:]):
+            assert actual == pytest.approx(wanted, rel=1e-9, abs=1e-9)
 
 
 def grid_configs(seed, iterations=500):
@@ -433,10 +457,10 @@ class TestHeldDraws:
         assert simulation._store.get() is None
 
     def test_cold_run_traced_peak_per_iteration(self):
-        # the completed estimates take 32 bytes per iteration and joining
-        # them 8 more; holding the run's stages would add 40, and a
-        # per-iteration buffer of every estimate 32. Nothing stays after
-        # a bare run returns or a block closes. gc.collect() empties the
+        # a run keeps only one chunk's arrays at a time, about 22 bytes per
+        # iteration over 8 chunks; holding the completed estimates would
+        # add 32, and holding the run's stages 40. Nothing stays after a
+        # bare run returns or a block closes. gc.collect() empties the
         # interpreter's free lists, which tracemalloc counts as allocated.
         config = make_config(iterations=8 * CHUNK)
         run_scenario(make_config(iterations=1))  # numpy imports its samplers lazily
@@ -451,7 +475,7 @@ class TestHeldDraws:
             after_block = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert peak / config.iterations <= 65
+        assert peak / config.iterations <= 40
         assert after_run < 64 * 1024 and after_block < 64 * 1024
 
     def test_concurrent_threads_match_serial(self):
@@ -614,17 +638,24 @@ def scalar_estimates(n1plus, nplus1, n11, pi, eta, n_r, plus, minus):
         return None
 
 
-def assert_fits_law(seen, expected):
+def assert_fits_law(seen, expected, totals=1):
     """Chi-square goodness of fit of the observed outcome counts ``seen`` to
-    the ``expected`` ones, both keyed by outcome: no outcome outside the
-    law, and with the outcomes expected fewer than 5 times pooled, a
-    Wilson-Hilferty z of at most 6."""
+    the ``expected`` ones, both keyed by outcome, over ``totals`` groups
+    whose sizes the sampling fixed: no outcome outside the law, and a
+    Wilson-Hilferty z of at most 6 on cells - totals degrees of freedom.
+    The outcomes expected fewer than 5 times are pooled into one cell, which
+    joins the smallest cell if it is still expected fewer than 5 times."""
     assert [state for state in seen if state not in expected] == []
     cells = [(seen.get(state, 0), e) for state, e in expected.items() if e >= 5]
     rare = [(seen.get(state, 0), e) for state, e in expected.items() if e < 5]
-    cells.append((sum(o for o, _ in rare), sum(e for _, e in rare)))
+    if rare:
+        pooled = [sum(o for o, _ in rare), sum(e for _, e in rare)]
+        if pooled[1] < 5:
+            o, e = cells.pop(min(range(len(cells)), key=lambda i: cells[i][1]))
+            pooled = [pooled[0] + o, pooled[1] + e]
+        cells.append(pooled)
     chi2 = sum((o - e) ** 2 / e for o, e in cells)
-    df = len(cells) - 1
+    df = len(cells) - totals
     # Wilson-Hilferty: (chi2 / df) ** (1/3) is about normal
     z = ((chi2 / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
     assert z <= 6, (chi2, df, z)
@@ -673,8 +704,7 @@ class TestCountEngine:
         # n_r is about 18 of a frame of about 36. Given the group (n1plus,
         # pi, eta, n_r), (plus, minus) is multivariate hypergeometric. The
         # groups of at least 1000 draws are checked together; fixing their
-        # totals takes a degree of freedom each, which assert_fits_law does
-        # not subtract, so its z runs about 1.7 low (seeds 35-40).
+        # totals takes a degree of freedom each.
         config = make_config(p1plus=0.9, pplus1=0.8, fnr=0.3, fpr=0.3, f=0.5, N=40)
         draws = 400_000
         counts = _draw_counts(config, np.random.default_rng(35), draws)
@@ -696,7 +726,8 @@ class TestCountEngine:
                         * math.comb(n1plus - pi - eta, n_r - plus - minus)
                         / math.comb(n1plus, n_r)
                     )
-        assert_fits_law({state: n for state, n in seen.items() if state[:4] in sizes}, expected)
+        seen = {state: n for state, n in seen.items() if state[:4] in sizes}
+        assert_fits_law(seen, expected, totals=len(sizes))
 
     @pytest.mark.parametrize(
         "rates",
