@@ -1,0 +1,258 @@
+"""Write a BENCH_*.json file: end-to-end and per-layer figures of
+``dselink simulate`` on the bundled grid, for one or more source trees.
+
+    python bench/write_bench.py --out BENCH_27.json \\
+        --tree parent=../parent-checkout --tree change=.
+
+Each tree is a checkout whose ``src/`` holds ``dse_link``; every figure
+is taken in a child interpreter with ``PYTHONPATH=<tree>/src``, so trees
+never share a process. Trees take turns, and each pair of rounds
+alternates which tree runs first. For each tree it records:
+
+- ``simulate_inprocess``: ``cli.main(["simulate", ...])`` called
+  repeatedly in one warmed-up process, wall and process time per call;
+- ``simulate_subprocess``: a fresh ``python -m dse_link.cli simulate``
+  process per run, wall and process time;
+- ``peak_rss_mb``: the peak RSS of such a process, at each
+  ``--rss-iterations`` value, once per round;
+- ``tier1``: one run of the tree's test suite, wall and process time
+  (skipped with ``--tier1-runs 0``);
+- ``layers_ms``: a grid call split by layer. A proxy around the
+  ``Generator`` that ``run_scenario`` makes times the rematch draws;
+  wrappers time ``simulation._stage`` (capture draw when the key has
+  ``CAPTURE_KEY_FIELDS`` fields, error injection otherwise; a reused
+  stage costs only the state restore), ``simulation._estimate_counts``, and ``cli.render_csv``;
+  aggregation is what remains of ``run_scenario``. ``proxy_overhead_ms``
+  is the proxied call's median wall time less the plain call's.
+
+Every run uses seed ``SEED``. Timings give best, median, quartiles and
+the sample count. The file also
+records the CPU count, the Python and numpy versions and each tree's
+commit (``dirty`` when tracked files differ from it).
+"""
+
+from __future__ import annotations
+
+import argparse
+import collections
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# The first four run inside run_scenario; aggregation is the rest of it.
+LAYERS = (
+    "capture_draw", "error_injection", "rematch_draw", "estimate_counts", "aggregation",
+    "render_csv",
+)
+SEED = 1
+# The fields of a capture stage's key, (seed, chunk, size, N, p1plus,
+# pplus1): the first key of simulation._stage_keys. A missed- or
+# spurious-link key extends it.
+CAPTURE_KEY_FIELDS = 6
+
+
+def summary(values: list[float]) -> dict:
+    """Best, median, quartiles and count of ``values``."""
+    points = values if len(values) > 1 else values * 2  # quantiles needs two
+    q1, median, q3 = statistics.quantiles(points, n=4, method="inclusive")
+    return dict(best=min(values), median=median, q1=q1, q3=q3, n=len(values))
+
+
+def simulate_argv(iterations: int, output: str) -> list[str]:
+    return ["simulate", "--iterations", str(iterations), "--seed", str(SEED), "--output", output]
+
+
+def child(tree: Path, argv: list[str], cwd: Path | None = None, check: bool = True) -> dict:
+    """Run ``python argv`` against ``tree``'s source; its wall time, process
+    time and peak RSS, and the last line of its stdout. With ``check``, a
+    nonzero exit status stops the writer."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.PIPE)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if check and proc.returncode:
+        raise SystemExit(f"{' '.join(argv)} on {tree} exited {proc.returncode}")
+    lines = out.decode().strip().splitlines()
+    return dict(
+        wall_s=time.perf_counter() - start,
+        process_s=usage.ru_utime + usage.ru_stime,
+        rss_mb=usage.ru_maxrss / 1024,
+        last=lines[-1] if lines else "",
+    )
+
+
+def worker(iterations: int, repeats: int) -> dict:
+    """In-process grid calls, plain and proxied in turn; run in a child
+    whose ``dse_link`` is the tree's."""
+    import numpy as np
+
+    from dse_link import cli, simulation
+
+    totals = collections.Counter()
+
+    def timed(name, func):
+        def wrapper(*args, **kwargs):
+            start = time.perf_counter_ns()
+            try:
+                return func(*args, **kwargs)
+            finally:
+                totals[name] += time.perf_counter_ns() - start
+        return wrapper
+
+    class Proxy:
+        def __init__(self, rng):
+            self.rng = rng
+            self.hypergeometric = timed("rematch_draw", rng.hypergeometric)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    capture, error = (timed(name, simulation._stage) for name in LAYERS[:2])
+
+    def traced_stage(block, key, *rest):
+        return (capture if len(key) == CAPTURE_KEY_FIELDS else error)(block, key, *rest)
+
+    default_rng = np.random.default_rng
+    patches = [
+        (np.random, "default_rng", lambda seed: Proxy(default_rng(seed))),
+        (simulation, "_stage", traced_stage),
+        (simulation, "_estimate_counts", timed("estimate_counts", simulation._estimate_counts)),
+        (cli, "run_scenario", timed("run_scenario", cli.run_scenario)),
+        (cli, "render_csv", timed("render_csv", cli.render_csv)),
+    ]
+    originals = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    figures = collections.defaultdict(list)
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = simulate_argv(iterations, str(Path(tmp, "out.csv")))
+        cli.main(argv)  # warm-up: lazy imports and caches
+        for _ in range(repeats):
+            wall, process = time.perf_counter(), time.process_time()
+            cli.main(argv)
+            figures["wall_ms"].append(1e3 * (time.perf_counter() - wall))
+            figures["process_ms"].append(1e3 * (time.process_time() - process))
+            for module, name, value in patches:
+                setattr(module, name, value)
+            totals.clear()
+            try:
+                wall = time.perf_counter()
+                cli.main(argv)
+                figures["proxied_wall_ms"].append(1e3 * (time.perf_counter() - wall))
+            finally:
+                for module, name, value in originals:
+                    setattr(module, name, value)
+            inner = sum(totals[name] for name in LAYERS[:4])
+            for name in LAYERS:
+                ns = totals["run_scenario"] - inner if name == "aggregation" else totals[name]
+                figures[name].append(ns / 1e6)
+    return figures
+
+
+def commit(tree: Path) -> dict:
+    def git(*args):
+        proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    return dict(commit=git("rev-parse", "HEAD"),
+                dirty=bool(git("status", "--porcelain", "--untracked-files=no")))
+
+
+def turns(trees: dict, round_: int) -> list:
+    """The tree names in the order they run in round ``round_``: the order
+    given in even rounds, reversed in odd ones."""
+    return list(trees) if round_ % 2 == 0 else list(trees)[::-1]
+
+
+def measure(trees: dict[str, Path], args) -> dict:
+    script = str(Path(__file__).resolve())
+    raw = {name: collections.defaultdict(list) for name in trees}
+    for round_ in range(args.pairs):
+        for name in turns(trees, round_):
+            tree, figures = trees[name], raw[name]
+            worker = [script, "--worker", *map(str, (args.iterations, args.repeats))]
+            for key, values in json.loads(child(tree, worker)["last"]).items():
+                figures[key] += values
+            with tempfile.TemporaryDirectory() as tmp:
+                output = str(Path(tmp, "out.csv"))
+                argv = ["-m", "dse_link.cli", *simulate_argv(args.iterations, output)]
+                for _ in range(args.repeats):
+                    run = child(tree, argv)
+                    figures["sub_wall_ms"].append(1e3 * run["wall_s"])
+                    figures["sub_process_ms"].append(1e3 * run["process_s"])
+                for iterations in args.rss_iterations:
+                    argv = ["-m", "dse_link.cli", *simulate_argv(iterations, output)]
+                    figures[f"rss_{iterations}"].append(child(tree, argv)["rss_mb"])
+    tier1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+    for round_ in range(args.tier1_runs):
+        for name in turns(trees, round_):
+            # a failing suite is still timed; its summary line is recorded
+            run = child(trees[name], tier1, cwd=trees[name], check=False)
+            raw[name]["tier1_wall_s"].append(run["wall_s"])
+            raw[name]["tier1_process_s"].append(run["process_s"])
+            raw[name]["tier1_result"].append(run["last"])
+    return {
+        name: dict(
+            **commit(trees[name]),
+            simulate_inprocess=dict(wall_ms=summary(f["wall_ms"]),
+                                    process_ms=summary(f["process_ms"])),
+            simulate_subprocess=dict(wall_ms=summary(f["sub_wall_ms"]),
+                                     process_ms=summary(f["sub_process_ms"])),
+            peak_rss_mb={str(n): summary(f[f"rss_{n}"]) for n in args.rss_iterations},
+            tier1=dict(
+                wall_s=summary(f["tier1_wall_s"]),
+                process_s=summary(f["tier1_process_s"]),
+                result=f["tier1_result"],
+            ) if args.tier1_runs else None,
+            layers_ms={layer: summary(f[layer]) for layer in LAYERS},
+            proxy_overhead_ms=statistics.median(f["proxied_wall_ms"])
+            - statistics.median(f["wall_ms"]),
+        )
+        for name, f in raw.items()
+    }
+
+
+def main(argv=None) -> int:
+    if argv is None and sys.argv[1:2] == ["--worker"]:
+        print(json.dumps(worker(*map(int, sys.argv[2:4]))))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--tree", action="append", required=True, metavar="NAME=PATH",
+                        help="a checkout to measure; repeat to compare trees")
+    parser.add_argument("--iterations", type=int, default=10_000)
+    parser.add_argument("--pairs", type=int, default=10, help="rounds over the trees")
+    parser.add_argument("--repeats", type=int, default=5, help="calls per tree per round")
+    parser.add_argument("--rss-iterations", type=int, nargs="+", default=[10_000, 1_000_000])
+    parser.add_argument("--tier1-runs", type=int, default=1)
+    args = parser.parse_args(argv)
+    trees = {}
+    for spec in args.tree:
+        name, _, path = spec.partition("=")
+        trees[name] = Path(path).resolve()
+    import numpy
+
+    document = dict(
+        machine=dict(
+            cpu_count=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count(),
+            python=platform.python_version(),
+            numpy=numpy.__version__,
+            platform=platform.platform(),
+        ),
+        settings=dict(seed=SEED, **{k: v for k, v in vars(args).items() if k not in ("out", "tree")}),
+        trees=measure(trees, args),
+    )
+    args.out.write_text(json.dumps(document, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -285,7 +285,7 @@ def cmd_simulate(args) -> int:
         seed = None
 
     rows = []
-    with _shared_draws():
+    with _shared_draws(configs):
         for config in configs:
             summary = run_scenario(config)
             rows.append(summary_to_row(summary))

@@ -34,8 +34,8 @@ Runs that share a seed are therefore common random numbers: runs that
 agree on (N, p1plus, pplus1) draw the same capture cells, runs that also
 agree on fnr the same missed links, and runs that also agree on fpr the
 same spurious links. The rows of one ``dselink simulate`` call share
-those draws in any order (see ``run_scenario``); a library call holds
-nothing after it returns.
+those draws in any order, each kept until its last read (see
+``run_scenario``); a library call holds nothing after it returns.
 
 ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
 simulate one iteration record by record. ``run_scenario`` does not call
@@ -48,6 +48,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,48 +221,56 @@ def draw_rematch(
     return RematchSample(state.source1_codes[indices], n1plus=n1plus)
 
 
-def _stage(store: dict, key: tuple, rng: np.random.Generator, draw) -> tuple:
-    """``draw()``'s arrays, made read-only and kept in ``store`` under
-    ``key``, the inputs that determine them, with the generator state right
-    after them. If ``store`` holds ``key`` already, its arrays, with ``rng``
-    set to that state."""
-    if key not in store:
+def _stage_keys(config: ScenarioConfig, k: int, size: int) -> tuple:
+    """The keys of chunk ``k``'s capture, missed-link and spurious-link
+    stages, of ``size`` iterations: the inputs that determine each draw."""
+    capture = (config.seed, k, size, config.N, config.p1plus, config.pplus1)
+    return capture, capture + (config.fnr,), capture + (config.fnr, config.fpr)
+
+
+def _stage(block: tuple, key: tuple, rng: np.random.Generator, draw) -> tuple:
+    """``draw()``'s arrays, read-only, or the arrays kept under ``key`` in
+    ``block`` = (stages, reads), with ``rng`` set to the state after them.
+    They stay kept, with that state, while ``reads[key]`` after this read is > 0."""
+    stages, reads = block
+    if key in stages:
+        draws, rng.bit_generator.state = stages.pop(key)
+    else:
         draws = draw()
         for array in draws:
             array.flags.writeable = False
-        store[key] = draws, rng.bit_generator.state
-    draws, rng.bit_generator.state = store[key]
+    reads[key] -= 1
+    if reads[key] > 0:
+        stages[key] = draws, rng.bit_generator.state
     return draws
 
 
 def _draw_counts(
-    config: ScenarioConfig, rng: np.random.Generator, size: int, store: dict | None = None, key=()
+    config: ScenarioConfig, rng: np.random.Generator, size: int, k: int = 0, block=None
 ) -> dict:
     """Draw ``size`` iterations' counts, as int64 arrays, from the law of
     ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
     composed: the keyword arguments of ``_estimate_counts``. The capture
     cells are a binomial chain and the rematch tallies an error count, then
-    its split (see the module docstring). The capture cells, missed links
-    and spurious links are kept in ``store`` under ``key`` extended by their
-    inputs, and reused from it (see ``_stage``)."""
-    store = {} if store is None else store
+    its split (see the module docstring). Chunk ``k``'s capture cells,
+    missed links and spurious links come from ``_stage`` under their
+    ``_stage_keys``, in an open ``_shared_draws`` block or, by default, none."""
+    block = block or ({}, Counter())
     N, p1, p2 = config.N, config.p1plus, config.pplus1
-    key += (size, N, p1, p2)
-    n1plus, n11, n01 = _stage(store, key, rng, lambda: (
-        n1 := rng.binomial(N, p1, size), rng.binomial(n1, p2), rng.binomial(N - n1, p2)
+    capture, missed, spurious = _stage_keys(config, k, size)
+    n1plus, n11, nplus1 = _stage(block, capture, rng, lambda: (
+        n1 := rng.binomial(N, p1, size), n11 := rng.binomial(n1, p2), n11 + rng.binomial(N - n1, p2)
     ))
-    key += (config.fnr,)
-    (pi,) = _stage(store, key, rng, lambda: (rng.binomial(n11, config.fnr),))
-    key += (config.fpr,)
-    (eta,) = _stage(store, key, rng, lambda: (rng.binomial(n1plus - n11, config.fpr),))
+    (pi,) = _stage(block, missed, rng, lambda: (rng.binomial(n11, config.fnr),))
+    (eta,) = _stage(block, spurious, rng, lambda: (rng.binomial(n1plus - n11, config.fpr),))
     # A frame of fewer than 2 records excludes the iteration; capping n_r
     # at the frame keeps its draw defined.
     n_r = np.minimum(_rematch_size(config.f, n1plus), n1plus)
     wrong = rng.hypergeometric(pi + eta, n1plus - pi - eta, n_r)
     plus = rng.hypergeometric(pi, eta, wrong)
     return dict(
-        n1plus=n1plus, nplus1=n11 + n01, n11=n11, pi=pi, eta=eta,
-        n_r=n_r, plus=plus, minus=wrong - plus,
+        n1plus=n1plus, nplus1=nplus1, n11=n11, pi=pi, eta=eta,
+        n_r=n_r, plus=plus, minus=np.subtract(wrong, plus, out=wrong),
     )
 
 
@@ -352,30 +361,36 @@ def _stats(n: int, mean: float, m2: float, population: int) -> EstimatorStats:
     return EstimatorStats(mean, erb, erse)
 
 
-# The open _shared_draws() block's stages, keyed by their inputs (see
-# _draw_counts), per thread; else None.
-_store: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_store", default=None)
+def _chunk_sizes(iterations: int) -> list[int]:
+    """The sizes of a run's chunks, ``CHUNK`` iterations each but the last."""
+    return [min(CHUNK, iterations - start) for start in range(0, iterations, CHUNK)]
+
+
+# The open _shared_draws() block's pair, per thread, else None: the kept
+# stages by key (see _stage_keys) with the state after them, and each key's reads due.
+_block: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("_block", default=None)
 
 
 @contextlib.contextmanager
-def _shared_draws():
-    """Let the ``run_scenario`` calls in the block share draws, in a store
-    that is dropped as the block closes."""
-    token = _store.set({})
+def _shared_draws(configs):
+    """Let the ``run_scenario`` calls in the block, one per config of
+    ``configs``, share draws. Each stage is kept from its first read until
+    its last: nothing is held once every row has run."""
+    chunks = [(c, k, size) for c in configs for k, size in enumerate(_chunk_sizes(c.iterations))]
+    token = _block.set(({}, Counter(key for chunk in chunks for key in _stage_keys(*chunk))))
     try:
         yield
     finally:
-        _store.reset(token)
+        _block.reset(token)
 
 
 def _accumulate(config: ScenarioConfig) -> tuple:
     """The ``_moments`` of the whole run, merged chunk by chunk."""
-    R, store = config.iterations, _store.get()
-    streams = np.random.SeedSequence(config.seed).spawn(-(-R // CHUNK))
+    sizes, block = _chunk_sizes(config.iterations), _block.get()
+    streams = np.random.SeedSequence(config.seed).spawn(len(sizes))
     moments = (0,) * 5  # no iterations
-    for k, stream in enumerate(streams):
-        size = min(R, (k + 1) * CHUNK) - k * CHUNK
-        counts = _draw_counts(config, np.random.default_rng(stream), size, store, (config.seed, k))
+    for k, (stream, size) in enumerate(zip(streams, sizes)):
+        counts = _draw_counts(config, np.random.default_rng(stream), size, k, block)
         moments = _merge(moments, _moments(counts))
     return moments
 
@@ -395,12 +410,13 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     Inside a ``_shared_draws()`` block, runs that share a seed share
     draws: the capture cells when they agree on (N, p1plus, pplus1), the
     missed links when they also agree on fnr, and the spurious links when
-    they also agree on fpr. The block keeps every distinct stage with the
-    generator state after it, so a reused stage is bit-identical to a
-    fresh draw in any order of runs; on the bundled grid it holds 128
-    bytes per iteration until it closes. Outside a block every stage is
-    drawn afresh and nothing is held after return. Each chunk keeps only
-    the moments of its completed iterations (see ``_accumulate``).
+    they also agree on fpr. The block keeps each stage with the generator
+    state after it, from its first read to its last, so a reused stage is
+    bit-identical to a fresh draw in any order of runs; on the bundled
+    grid it holds at most 40 bytes per iteration after any row in file
+    order or reversed, 128 sorted by f, none after the last row. Outside
+    a block every stage is drawn afresh and nothing is held after return.
+    Each chunk keeps only the moments of its completed iterations.
     """
     n, mean, m2, _, _ = _accumulate(config)
     N = config.N

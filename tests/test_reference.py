@@ -81,8 +81,9 @@ def grid_z_scores() -> dict:
     reference's MCSE per iteration times sqrt(1/n_ref + 1/n), with n and
     n_ref the completed iterations of each run."""
     z = {}
-    with _shared_draws():
-        summaries = [run_scenario(config) for config in grid_configs(ITERATIONS, SEED)]
+    configs = grid_configs(ITERATIONS, SEED)
+    with _shared_draws(configs):
+        summaries = [run_scenario(config) for config in configs]
     for summary, reference in zip(summaries, reference_rows(), strict=True):
         key = tuple(reference[column] for column in KEY_COLUMNS)
         R, R_ref = summary.config.iterations, int(reference["iterations"])

@@ -6,6 +6,7 @@ import math
 import statistics
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,31 @@ class TestRunScenario:
         for actual, wanted in zip(merged[1:], expected[1:]):
             assert actual == pytest.approx(wanted, rel=1e-9, abs=1e-9)
 
+    def test_moments_mask_before_the_square_root(self):
+        # the first iteration is excluded (n11* = 6 > nplus1 = 5), and its
+        # linearized variance is negative: corrected = 50/6 < n1plus, and
+        # sigma2 = 0 as its sample holds no errors
+        counts = {
+            name: np.array(values)
+            for name, values in dict(
+                n1plus=[10, 100, 120], nplus1=[5, 80, 90], n11=[5, 70, 75],
+                pi=[0, 2, 4], eta=[1, 1, 3], n_r=[3, 20, 24], plus=[0, 1, 2], minus=[0, 0, 1],
+            ).items()
+        }
+        ok, estimates = _estimate_counts(**counts)
+        assert ok.tolist() == [False, True, True]
+        assert estimates["sigma2_eps"][0] == 0 and estimates["variance"][0] < 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n, *moments = simulation._moments(counts)
+        assert n == 2
+        columns = [estimates[name][ok] for name in ("dse", "uncorrected", "corrected")]
+        columns.append(np.sqrt(estimates["variance"][ok]))  # masked first
+        for i, x in enumerate(columns):
+            d = x - x.mean()
+            expected = [x.mean(), *((d**k).sum() for k in (2, 3, 4))]
+            assert [m[i] for m in moments] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
 
 def grid_configs(seed, iterations=500):
     return load_scenario_file(bundled_scenario_path(), iterations, seed, 1000)
@@ -371,12 +397,21 @@ class TestHeldDraws:
     bare run, which shares nothing."""
 
     def test_grid_rows_equal_cold_runs_in_any_order(self):
+        # bytes per iteration held after a row: in file order or reversed,
+        # one capture stage (24) and one link stage of each kind (8 + 8);
+        # sorted by f, the f = 0.1 rows leave every stage to the f = 0.2 rows
+        bounds = {"file": 40, "reversed": 40, "sorted_by_f": 128}
         configs = grid_configs(seed=41)
         cold = {config: run_scenario(config) for config in configs}
-        for reorder in ROW_ORDERS.values():
-            with _shared_draws():
-                for config in reorder(configs):
+        for order, reorder in ROW_ORDERS.items():
+            rows, held = reorder(configs), []
+            with _shared_draws(rows):
+                stages, _ = simulation._block.get()
+                for config in rows:
                     assert run_scenario(config) == cold[config], config
+                    held.append(sum(a.nbytes for draws, _ in stages.values() for a in draws))
+            assert max(held) <= bounds[order] * configs[0].iterations, order
+            assert held[-1] == 0, order
 
     def test_unrelated_scenarios_interleaved(self):
         configs = grid_configs(seed=42)
@@ -393,7 +428,7 @@ class TestHeldDraws:
             sequence += [dataclasses.replace(config, iterations=CHUNK + 1), config]
         sequence.append(dataclasses.replace(configs[2], iterations=CHUNK + 1))
         cold = {config: run_scenario(config) for config in set(sequence)}
-        with _shared_draws():
+        with _shared_draws(sequence):
             for config in sequence:
                 assert run_scenario(config) == cold[config], config
 
@@ -420,8 +455,9 @@ class TestHeldDraws:
         monkeypatch.setattr(
             simulation.np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed))
         )
-        with _shared_draws():
-            for config in ROW_ORDERS[order](grid_configs(seed=44)):
+        rows = ROW_ORDERS[order](grid_configs(seed=44))
+        with _shared_draws(rows):
+            for config in rows:
                 run_scenario(config)
         # 2 capture levels, each with 3 capture draws, 2 distinct fnr
         # (missed-link draws) and 3 error mixes (spurious-link draws); 2
@@ -436,25 +472,31 @@ class TestHeldDraws:
         ]
         cold = {config: run_scenario(config) for config in configs}
         for order in itertools.permutations(configs):
-            with _shared_draws():
+            with _shared_draws(order):
                 for config in order:
                     assert run_scenario(config) == cold[config], (order, config)
 
     def test_block_holds_read_only_draws_until_it_closes(self):
         run_scenario(make_config(iterations=10))
-        assert simulation._store.get() is None
+        assert simulation._block.get() is None
         iterations = CHUNK + 1
-        with _shared_draws():
-            for config in grid_configs(seed=47, iterations=iterations):
+        # sorted by f, the six f = 0.1 rows draw every stage and the six
+        # f = 0.2 rows read each once more
+        rows = ROW_ORDERS["sorted_by_f"](grid_configs(seed=47, iterations=iterations))
+        with _shared_draws(rows):
+            for config in rows[:6]:
                 run_scenario(config)
-            held = simulation._store.get()
+            held, _ = simulation._block.get()
             arrays = [array for draws, _ in held.values() for array in draws]
             assert not any(array.flags.writeable for array in arrays)
             # per chunk, 2 capture keys of 3 int64 arrays, and 4 missed-link
             # and 6 spurious-link keys of one int64 array each
             assert sum(array.nbytes for array in arrays) == (2 * 24 + 4 * 8 + 6 * 8) * iterations
             assert len(held) == 2 * (2 + 4 + 6)
-        assert simulation._store.get() is None
+            for config in rows[6:]:
+                run_scenario(config)
+            assert not held
+        assert simulation._block.get() is None
 
     def test_cold_run_traced_peak_per_iteration(self):
         # a run keeps only one chunk's arrays at a time, about 22 bytes per
@@ -469,7 +511,7 @@ class TestHeldDraws:
             run_scenario(config)
             gc.collect()
             after_run, peak = tracemalloc.get_traced_memory()
-            with _shared_draws():
+            with _shared_draws([config]):
                 run_scenario(config)
             gc.collect()
             after_block = tracemalloc.get_traced_memory()[0]
