@@ -17,24 +17,26 @@ alternates which tree runs first. For each tree it records:
   ``--rss-iterations`` value, once per round;
 - ``tier1``: one run of the tree's test suite, wall and process time
   (skipped with ``--tier1-runs 0``);
-- ``layers_ms``: a grid call split by layer. A proxy around the
-  ``Generator`` that ``run_scenario`` makes times the rematch draws;
-  wrappers time ``simulation._stage`` (capture draw when the key has
-  ``CAPTURE_KEY_FIELDS`` fields, error injection otherwise; a reused
-  stage costs only the state restore), ``simulation._estimate_counts``, and ``cli.render_csv``;
-  aggregation is what remains of ``run_scenario``. ``proxy_overhead_ms``
-  is the proxied call's median wall time less the plain call's.
+- ``layers_ms``: each in-process call split into ``LAYERS``, from the
+  stage times in the counter of the ``_shared_draws`` block that
+  ``cli.cmd_simulate`` opens (a reused stage costs only the state
+  restore), and the time of ``cli.render_csv``.
+
+The in-process figures come from each tree's own ``bench/write_bench.py
+--worker``: a tree older than the engine's stage timers splits its calls
+into the same layers with a ``Generator`` proxy of its own.
 
 Every run uses seed ``SEED``. Timings give best, median, quartiles and
-the sample count. The file also
-records the CPU count, the Python and numpy versions and each tree's
-commit (``dirty`` when tracked files differ from it).
+the sample count. The file also records the CPU count, the Python and
+numpy versions and each tree's commit (``dirty`` when tracked files
+differ from it).
 """
 
 from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import json
 import os
 import platform
@@ -45,16 +47,13 @@ import tempfile
 import time
 from pathlib import Path
 
-# The first four run inside run_scenario; aggregation is the rest of it.
-LAYERS = (
-    "capture_draw", "error_injection", "rematch_draw", "estimate_counts", "aggregation",
-    "render_csv",
+# Each layer's names in the counter of a simulation._shared_draws block;
+# the worker adds render_csv.
+LAYERS = dict(
+    capture_draw=("capture",), error_injection=("missed", "spurious"), rematch_draw=("rematch",),
+    estimate_counts=("estimate",), aggregation=("aggregation",), render_csv=("render_csv",),
 )
 SEED = 1
-# The fields of a capture stage's key, (seed, chunk, size, N, p1plus,
-# pplus1): the first key of simulation._stage_keys. A missed- or
-# spurious-link key extends it.
-CAPTURE_KEY_FIELDS = 6
 
 
 def summary(values: list[float]) -> dict:
@@ -91,68 +90,37 @@ def child(tree: Path, argv: list[str], cwd: Path | None = None, check: bool = Tr
 
 
 def worker(iterations: int, repeats: int) -> dict:
-    """In-process grid calls, plain and proxied in turn; run in a child
+    """In-process grid calls, each split into ``LAYERS``; run in a child
     whose ``dse_link`` is the tree's."""
-    import numpy as np
+    from dse_link import cli
 
-    from dse_link import cli, simulation
+    shared_draws, render_csv, totals = cli._shared_draws, cli.render_csv, collections.Counter()
 
-    totals = collections.Counter()
+    @contextlib.contextmanager
+    def counted_draws(configs):
+        with shared_draws(configs) as counter:
+            yield counter
+        totals.update(counter)
 
-    def timed(name, func):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter_ns()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                totals[name] += time.perf_counter_ns() - start
-        return wrapper
+    def timed_render_csv(*args, **kwargs):
+        start = time.perf_counter_ns()
+        text = render_csv(*args, **kwargs)
+        totals["render_csv"] += time.perf_counter_ns() - start
+        return text
 
-    class Proxy:
-        def __init__(self, rng):
-            self.rng = rng
-            self.hypergeometric = timed("rematch_draw", rng.hypergeometric)
-
-        def __getattr__(self, name):
-            return getattr(self.rng, name)
-
-    capture, error = (timed(name, simulation._stage) for name in LAYERS[:2])
-
-    def traced_stage(block, key, *rest):
-        return (capture if len(key) == CAPTURE_KEY_FIELDS else error)(block, key, *rest)
-
-    default_rng = np.random.default_rng
-    patches = [
-        (np.random, "default_rng", lambda seed: Proxy(default_rng(seed))),
-        (simulation, "_stage", traced_stage),
-        (simulation, "_estimate_counts", timed("estimate_counts", simulation._estimate_counts)),
-        (cli, "run_scenario", timed("run_scenario", cli.run_scenario)),
-        (cli, "render_csv", timed("render_csv", cli.render_csv)),
-    ]
-    originals = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    cli._shared_draws, cli.render_csv = counted_draws, timed_render_csv
     figures = collections.defaultdict(list)
     with tempfile.TemporaryDirectory() as tmp:
         argv = simulate_argv(iterations, str(Path(tmp, "out.csv")))
         cli.main(argv)  # warm-up: lazy imports and caches
         for _ in range(repeats):
+            totals.clear()
             wall, process = time.perf_counter(), time.process_time()
             cli.main(argv)
             figures["wall_ms"].append(1e3 * (time.perf_counter() - wall))
             figures["process_ms"].append(1e3 * (time.process_time() - process))
-            for module, name, value in patches:
-                setattr(module, name, value)
-            totals.clear()
-            try:
-                wall = time.perf_counter()
-                cli.main(argv)
-                figures["proxied_wall_ms"].append(1e3 * (time.perf_counter() - wall))
-            finally:
-                for module, name, value in originals:
-                    setattr(module, name, value)
-            inner = sum(totals[name] for name in LAYERS[:4])
-            for name in LAYERS:
-                ns = totals["run_scenario"] - inner if name == "aggregation" else totals[name]
-                figures[name].append(ns / 1e6)
+            for layer, names in LAYERS.items():
+                figures[layer].append(sum(totals[name] for name in names) / 1e6)
     return figures
 
 
@@ -172,11 +140,11 @@ def turns(trees: dict, round_: int) -> list:
 
 
 def measure(trees: dict[str, Path], args) -> dict:
-    script = str(Path(__file__).resolve())
     raw = {name: collections.defaultdict(list) for name in trees}
     for round_ in range(args.pairs):
         for name in turns(trees, round_):
             tree, figures = trees[name], raw[name]
+            script = str(tree / "bench" / "write_bench.py")
             worker = [script, "--worker", *map(str, (args.iterations, args.repeats))]
             for key, values in json.loads(child(tree, worker)["last"]).items():
                 figures[key] += values
@@ -212,8 +180,6 @@ def measure(trees: dict[str, Path], args) -> dict:
                 result=f["tier1_result"],
             ) if args.tier1_runs else None,
             layers_ms={layer: summary(f[layer]) for layer in LAYERS},
-            proxy_overhead_ms=statistics.median(f["proxied_wall_ms"])
-            - statistics.median(f["wall_ms"]),
         )
         for name, f in raw.items()
     }
@@ -233,6 +199,9 @@ def main(argv=None) -> int:
     parser.add_argument("--rss-iterations", type=int, nargs="+", default=[10_000, 1_000_000])
     parser.add_argument("--tier1-runs", type=int, default=1)
     args = parser.parse_args(argv)
+    counts = [args.iterations, args.pairs, args.repeats, *args.rss_iterations]
+    if min(counts) < 1 or args.tier1_runs < 0:
+        parser.error("--tier1-runs must be >= 0, and the other counts >= 1")
     trees = {}
     for spec in args.tree:
         name, _, path = spec.partition("=")

@@ -9,7 +9,6 @@ import io
 import json
 import os
 import re
-import secrets
 import sys
 from importlib.resources import files
 
@@ -227,7 +226,7 @@ def _atomic_write(path: str, text: str) -> None:
     readers never see a partial table. The temp file is removed on any
     failure, and an OSError names ``path``. Exclusive creation, unlike
     ``tempfile.mkstemp``, keeps the default umask-based permissions."""
-    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     pending = False
     try:
         with open(tmp, "x", newline="\n", encoding="utf-8") as handle:
@@ -277,7 +276,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
     if args.precision < 0:
         raise ValueError(f"--precision must be >= 0, got {args.precision}")
-    seed = args.seed if args.seed is not None else secrets.randbits(64)
+    seed = args.seed if args.seed is not None else int.from_bytes(os.urandom(8), "big")
     path = args.scenario if args.scenario is not None else bundled_scenario_path()
     configs = load_scenario_file(path, args.iterations, seed, args.population)
     # the header names the default seed only if some row ran at it

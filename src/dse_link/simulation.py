@@ -26,16 +26,14 @@ which ``_merge`` combines, so a run holds one chunk's arrays at a time.
 
 Random streams are keyed by chunk: chunk k, iterations
 [k * CHUNK, (k + 1) * CHUNK), draws from child k of the seed's
-SeedSequence, so results are a pure function of the config. ``threads``
-is accepted for compatibility and changes neither the output nor the
-speed.
+SeedSequence, so results are a pure function of the config.
 
 Runs that share a seed are therefore common random numbers: runs that
 agree on (N, p1plus, pplus1) draw the same capture cells, runs that also
 agree on fnr the same missed links, and runs that also agree on fpr the
 same spurious links. The rows of one ``dselink simulate`` call share
-those draws in any order, each kept until its last read (see
-``run_scenario``); a library call holds nothing after it returns.
+them in a block that keeps each until its last read and times each stage
+(see ``_shared_draws``); a library call keeps nothing after it returns.
 
 ``generate_population``, ``inject_linkage_errors`` and ``draw_rematch``
 simulate one iteration record by record. ``run_scenario`` does not call
@@ -48,6 +46,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -228,20 +227,23 @@ def _stage_keys(config: ScenarioConfig, k: int, size: int) -> tuple:
     return capture, capture + (config.fnr,), capture + (config.fnr, config.fpr)
 
 
-def _stage(block: tuple, key: tuple, rng: np.random.Generator, draw) -> tuple:
+def _stage(block: tuple, name: str, key: tuple, rng: np.random.Generator, draw) -> tuple:
     """``draw()``'s arrays, read-only, or the arrays kept under ``key`` in
-    ``block`` = (stages, reads), with ``rng`` set to the state after them.
-    They stay kept, with that state, while ``reads[key]`` after this read is > 0."""
-    stages, reads = block
+    ``block`` = (stages, counter), with ``rng`` set to the state after them.
+    They stay kept, with that state, while ``counter[key]`` (reads due) after
+    this read is > 0. Counts a hit or a miss, and this call's ns under ``name``."""
+    start, (stages, counter) = time.perf_counter_ns(), block
+    counter["hits" if key in stages else "misses"] += 1
     if key in stages:
         draws, rng.bit_generator.state = stages.pop(key)
     else:
         draws = draw()
         for array in draws:
             array.flags.writeable = False
-    reads[key] -= 1
-    if reads[key] > 0:
+    counter[key] -= 1
+    if counter[key] > 0:
         stages[key] = draws, rng.bit_generator.state
+    counter[name] += time.perf_counter_ns() - start
     return draws
 
 
@@ -254,20 +256,23 @@ def _draw_counts(
     cells are a binomial chain and the rematch tallies an error count, then
     its split (see the module docstring). Chunk ``k``'s capture cells,
     missed links and spurious links come from ``_stage`` under their
-    ``_stage_keys``, in an open ``_shared_draws`` block or, by default, none."""
+    ``_stage_keys``, in an open ``_shared_draws`` block or, by default, none;
+    the rematch draw's ns go to the block's counter under ``rematch``."""
     block = block or ({}, Counter())
-    N, p1, p2 = config.N, config.p1plus, config.pplus1
+    N, p1, p2, fnr, fpr = config.N, config.p1plus, config.pplus1, config.fnr, config.fpr
     capture, missed, spurious = _stage_keys(config, k, size)
-    n1plus, n11, nplus1 = _stage(block, capture, rng, lambda: (
+    n1plus, n11, nplus1 = _stage(block, "capture", capture, rng, lambda: (
         n1 := rng.binomial(N, p1, size), n11 := rng.binomial(n1, p2), n11 + rng.binomial(N - n1, p2)
     ))
-    (pi,) = _stage(block, missed, rng, lambda: (rng.binomial(n11, config.fnr),))
-    (eta,) = _stage(block, spurious, rng, lambda: (rng.binomial(n1plus - n11, config.fpr),))
+    (pi,) = _stage(block, "missed", missed, rng, lambda: (rng.binomial(n11, fnr),))
+    (eta,) = _stage(block, "spurious", spurious, rng, lambda: (rng.binomial(n1plus - n11, fpr),))
     # A frame of fewer than 2 records excludes the iteration; capping n_r
     # at the frame keeps its draw defined.
+    start = time.perf_counter_ns()
     n_r = np.minimum(_rematch_size(config.f, n1plus), n1plus)
     wrong = rng.hypergeometric(pi + eta, n1plus - pi - eta, n_r)
     plus = rng.hypergeometric(pi, eta, wrong)
+    block[1]["rematch"] += time.perf_counter_ns() - start
     return dict(
         n1plus=n1plus, nplus1=nplus1, n11=n11, pi=pi, eta=eta,
         n_r=n_r, plus=plus, minus=np.subtract(wrong, plus, out=wrong),
@@ -317,11 +322,12 @@ def _estimate_counts(
     return ok, estimates
 
 
-def _moments(counts: dict) -> tuple:
+def _moments(counts: dict, estimated: tuple | None = None) -> tuple:
     """(n, mean, M2, M3, M4) of the dse, uncorrected and corrected estimates
     and sqrt(variance) over the n iterations of ``counts`` that no
-    precondition excludes, Mk the sum of (x - mean)**k; each but n an array."""
-    ok, estimates = _estimate_counts(**counts)
+    precondition excludes, Mk the sum of (x - mean)**k; each but n an array.
+    ``estimated``, if given, is ``_estimate_counts(**counts)``."""
+    ok, estimates = estimated or _estimate_counts(**counts)
     columns = [estimates[name][ok] for name in ("dse", "uncorrected", "corrected")]
     columns.append(np.sqrt(estimates["variance"][ok]))
     n, moments = int(np.count_nonzero(ok)), []
@@ -375,23 +381,32 @@ _block: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("_block", 
 def _shared_draws(configs):
     """Let the ``run_scenario`` calls in the block, one per config of
     ``configs``, share draws. Each stage is kept from its first read until
-    its last: nothing is held once every row has run."""
+    its last: nothing is held once every row has run.
+
+    Yields the block's Counter: each stage key's reads still due, the ns
+    of the ``capture``, ``missed``, ``spurious`` and ``rematch`` draws, of
+    ``_estimate_counts`` (``estimate``) and of the moment reduction and
+    merge (``aggregation``), and the stage ``hits`` and ``misses``."""
     chunks = [(c, k, size) for c in configs for k, size in enumerate(_chunk_sizes(c.iterations))]
     token = _block.set(({}, Counter(key for chunk in chunks for key in _stage_keys(*chunk))))
     try:
-        yield
+        yield _block.get()[1]
     finally:
         _block.reset(token)
 
 
 def _accumulate(config: ScenarioConfig) -> tuple:
-    """The ``_moments`` of the whole run, merged chunk by chunk."""
-    sizes, block = _chunk_sizes(config.iterations), _block.get()
+    """The ``_moments`` of the whole run, merged chunk by chunk, timed in the block's counter."""
+    sizes, block = _chunk_sizes(config.iterations), _block.get() or ({}, Counter())
     streams = np.random.SeedSequence(config.seed).spawn(len(sizes))
     moments = (0,) * 5  # no iterations
     for k, (stream, size) in enumerate(zip(streams, sizes)):
         counts = _draw_counts(config, np.random.default_rng(stream), size, k, block)
-        moments = _merge(moments, _moments(counts))
+        start = time.perf_counter_ns()
+        estimated = _estimate_counts(**counts)
+        block[1]["estimate"] += (middle := time.perf_counter_ns()) - start
+        moments = _merge(moments, _moments(counts, estimated))
+        block[1]["aggregation"] += time.perf_counter_ns() - middle
     return moments
 
 
@@ -414,9 +429,10 @@ def run_scenario(config: ScenarioConfig, threads: int = 1) -> SimulationSummary:
     state after it, from its first read to its last, so a reused stage is
     bit-identical to a fresh draw in any order of runs; on the bundled
     grid it holds at most 40 bytes per iteration after any row in file
-    order or reversed, 128 sorted by f, none after the last row. Outside
-    a block every stage is drawn afresh and nothing is held after return.
-    Each chunk keeps only the moments of its completed iterations.
+    order or reversed, 128 sorted by f, none after the last row. It also
+    counts the hits and misses and times each stage (see ``_shared_draws``).
+    Outside a block every stage is drawn afresh and nothing is held after
+    return. Each chunk keeps only the moments of its completed iterations.
     """
     n, mean, m2, _, _ = _accumulate(config)
     N = config.N

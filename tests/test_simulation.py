@@ -5,6 +5,7 @@ import itertools
 import math
 import statistics
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -463,6 +464,21 @@ class TestHeldDraws:
         # (missed-link draws) and 3 error mixes (spurious-link draws); 2
         # rematch tally draws per row
         assert calls == {"multinomial": 0, "binomial": 2 * (3 + 2 + 3), "hypergeometric": 24}
+
+    @pytest.mark.parametrize("order", ROW_ORDERS)
+    def test_block_counts_hits_misses_and_stage_times(self, order):
+        # the distinct stages of test_grid_draws_each_distinct_stage_once
+        # miss, and the other 24 of the 36 stage reads hit
+        rows = ROW_ORDERS[order](grid_configs(seed=48, iterations=10_000))
+        start = time.perf_counter_ns()
+        with _shared_draws(rows) as counter:
+            for config in rows:
+                run_scenario(config)
+        wall = time.perf_counter_ns() - start
+        assert (counter["misses"], counter["hits"]) == (12, 24)
+        stages = ("capture", "missed", "spurious", "rematch", "estimate", "aggregation")
+        assert all(counter[name] > 0 for name in stages)
+        assert sum(counter[name] for name in stages) <= wall
 
     def test_rows_sharing_one_rate_equal_cold_runs_in_every_order(self):
         # each row shares fnr or fpr, never both, with some other row
