@@ -256,8 +256,7 @@ def _draw_counts(
     cells are a binomial chain and the rematch tallies an error count, then
     its split (see the module docstring). Chunk ``k``'s capture cells,
     missed links and spurious links come from ``_stage`` under their
-    ``_stage_keys``, in an open ``_shared_draws`` block or, by default, none;
-    the rematch draw's ns go to the block's counter under ``rematch``."""
+    ``_stage_keys``, in an open ``_shared_draws`` block or, by default, none."""
     block = block or ({}, Counter())
     N, p1, p2, fnr, fpr = config.N, config.p1plus, config.pplus1, config.fnr, config.fpr
     capture, missed, spurious = _stage_keys(config, k, size)
@@ -383,10 +382,9 @@ def _shared_draws(configs):
     ``configs``, share draws. Each stage is kept from its first read until
     its last: nothing is held once every row has run.
 
-    Yields the block's Counter: each stage key's reads still due, the ns
-    of the ``capture``, ``missed``, ``spurious`` and ``rematch`` draws, of
-    ``_estimate_counts`` (``estimate``) and of the moment reduction and
-    merge (``aggregation``), and the stage ``hits`` and ``misses``."""
+    Yields the block's Counter: the reads due by stage key; the ns of the
+    ``capture``, ``missed``, ``spurious`` and ``rematch`` draws, of ``_estimate_counts``
+    (``estimate``) and of reduction and merge (``aggregation``); stage ``hits`` and ``misses``."""
     chunks = [(c, k, size) for c in configs for k, size in enumerate(_chunk_sizes(c.iterations))]
     token = _block.set(({}, Counter(key for chunk in chunks for key in _stage_keys(*chunk))))
     try:
@@ -403,9 +401,11 @@ def _accumulate(config: ScenarioConfig) -> tuple:
     for k, (stream, size) in enumerate(zip(streams, sizes)):
         counts = _draw_counts(config, np.random.default_rng(stream), size, k, block)
         start = time.perf_counter_ns()
-        estimated = _estimate_counts(**counts)
+        part = _estimate_counts(**counts)
         block[1]["estimate"] += (middle := time.perf_counter_ns()) - start
-        moments = _merge(moments, _moments(counts, estimated))
+        # free the estimates before the merge: held through it, a grid call page-faults more
+        part = _moments(counts, part)
+        moments = _merge(moments, part)
         block[1]["aggregation"] += time.perf_counter_ns() - middle
     return moments
 
