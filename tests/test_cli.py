@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -476,14 +477,14 @@ class TestPlanCommand:
     def test_loads_neither_secrets_nor_hashlib(self):
         # a fresh interpreter, so that no other test has loaded them; numpy
         # 1.24 loads both itself, which this test allows
-        script = """if True:
+        script = textwrap.dedent("""
             import sys, numpy
             before = set(sys.modules)
             from dse_link.cli import main
             main(["plan", "--n1", "900", "--p1", "0.9", "--p2", "0.8", "--N", "1000",
                   "--fnr", "0.02", "--fpr", "0.05", "--target-rse", "0.02"])
             print(sorted({"secrets", "hashlib"} & set(sys.modules).difference(before)))
-        """
+        """)
         env = dict(os.environ, PYTHONPATH=str(Path(dse_link.__file__).parent.parent))
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
