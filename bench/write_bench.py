@@ -1,35 +1,33 @@
 """Write a BENCH_*.json file: end-to-end and per-layer figures of
 ``dselink simulate`` on the bundled grid, for one or more source trees.
 
-    python bench/write_bench.py --out BENCH_27.json \\
-        --tree parent=../parent-checkout --tree change=.
+    python bench/write_bench.py --out BENCH_<n>.json \\
+        --tree parent=<clean clone of the parent> --tree change=.
 
-Each tree is a checkout whose ``src/`` holds ``dse_link``; every figure
-is taken in a child interpreter with ``PYTHONPATH=<tree>/src``, so trees
-never share a process. Trees take turns, and each pair of rounds
-alternates which tree runs first. For each tree it records:
+Every file runs one fixed protocol, the module constants recorded under
+``settings``, so any two compare; only ``--tier1-runs`` varies. Each
+figure is taken in a child interpreter with ``PYTHONPATH=<tree>/src``, so
+trees never share a process. In each of ``PAIRS`` rounds every tree takes
+a turn, each pair of rounds alternating which runs first, and records:
 
-- ``simulate_inprocess``: ``cli.main(["simulate", ...])`` called
-  repeatedly in one warmed-up process, wall and process time per call;
-- ``simulate_subprocess``: a fresh ``python -m dse_link.cli simulate``
-  process per run, wall and process time;
-- ``peak_rss_mb``: the peak RSS of such a process, at each
-  ``--rss-iterations`` value, once per round;
-- ``tier1``: one run of the tree's test suite, wall and process time
-  (skipped with ``--tier1-runs 0``);
-- ``layers_ms``: each in-process call split into ``LAYERS``, from the
-  stage times in the counter of the ``_shared_draws`` block that
+- ``simulate_inprocess``: ``REPEATS`` warmed-up ``cli.main(["simulate",
+  ...])`` calls at ``ITERATIONS`` iterations, wall and process time each;
+- ``simulate_subprocess``: ``REPEATS`` fresh ``python -m dse_link.cli
+  simulate`` processes at ``ITERATIONS``, wall and process time;
+- ``peak_rss_mb``: the peak RSS of those processes, and of one more at
+  each of ``RSS_ITERATIONS``;
+- ``layers_ms``: each in-process call split into ``LAYERS``: the stage
+  times in the counter of the ``_shared_draws`` block that
   ``cli.cmd_simulate`` opens (a reused stage costs only the state
   restore), and the time of ``cli.render_csv``.
 
-The in-process figures come from each tree's own ``bench/write_bench.py
---worker``: a tree older than the engine's stage timers splits its calls
-into the same layers with a ``Generator`` proxy of its own.
-
-Every run uses seed ``SEED``. Timings give best, median, quartiles and
-the sample count. The file also records the CPU count, the Python and
-numpy versions and each tree's commit (``dirty`` when tracked files
-differ from it).
+Then ``tier1`` times ``--tier1-runs`` runs of each tree's test suite.
+The in-process calls run in each tree's own ``bench/write_bench.py
+--worker ITERATIONS REPEATS``, which prints one JSON object of per-call
+lists and exits nonzero if a call fails; a tree older than the engine's
+stage timers fills the same layers its own way. Timings give best,
+median, quartiles and count. The file also records the machine and each
+tree's commit (``dirty`` when tracked files differ from it).
 """
 
 from __future__ import annotations
@@ -54,6 +52,10 @@ LAYERS = dict(
     estimate_counts=("estimate",), aggregation=("aggregation",), render_csv=("render_csv",),
 )
 SEED = 1
+ITERATIONS = 10_000
+PAIRS = 10  # rounds over the trees
+REPEATS = 5  # calls of each kind per tree and round
+RSS_ITERATIONS = (1_000_000,)  # besides ITERATIONS
 
 
 def summary(values: list[float]) -> dict:
@@ -91,7 +93,7 @@ def child(tree: Path, argv: list[str], cwd: Path | None = None, check: bool = Tr
 
 def worker(iterations: int, repeats: int) -> dict:
     """In-process grid calls, each split into ``LAYERS``; run in a child
-    whose ``dse_link`` is the tree's."""
+    whose ``dse_link`` is the tree's. A failed call stops it."""
     from dse_link import cli
 
     shared_draws, render_csv, totals = cli._shared_draws, cli.render_csv, collections.Counter()
@@ -112,11 +114,13 @@ def worker(iterations: int, repeats: int) -> dict:
     figures = collections.defaultdict(list)
     with tempfile.TemporaryDirectory() as tmp:
         argv = simulate_argv(iterations, str(Path(tmp, "out.csv")))
-        cli.main(argv)  # warm-up: lazy imports and caches
-        for _ in range(repeats):
+        for call in range(repeats + 1):  # call 0 warms up: lazy imports and caches
             totals.clear()
             wall, process = time.perf_counter(), time.process_time()
-            cli.main(argv)
+            if code := cli.main(argv):
+                raise SystemExit(f"{' '.join(argv)} exited {code}")
+            if not call:
+                continue
             figures["wall_ms"].append(1e3 * (time.perf_counter() - wall))
             figures["process_ms"].append(1e3 * (time.process_time() - process))
             for layer, names in LAYERS.items():
@@ -139,27 +143,25 @@ def turns(trees: dict, round_: int) -> list:
     return list(trees) if round_ % 2 == 0 else list(trees)[::-1]
 
 
-def measure(trees: dict[str, Path], args) -> dict:
+def measure(trees: dict[str, Path], tier1_runs: int) -> dict:
     raw = {name: collections.defaultdict(list) for name in trees}
-    for round_ in range(args.pairs):
+    for round_ in range(PAIRS):
         for name in turns(trees, round_):
             tree, figures = trees[name], raw[name]
             script = str(tree / "bench" / "write_bench.py")
-            worker = [script, "--worker", *map(str, (args.iterations, args.repeats))]
+            worker = [script, "--worker", str(ITERATIONS), str(REPEATS)]
             for key, values in json.loads(child(tree, worker)["last"]).items():
                 figures[key] += values
             with tempfile.TemporaryDirectory() as tmp:
                 output = str(Path(tmp, "out.csv"))
-                argv = ["-m", "dse_link.cli", *simulate_argv(args.iterations, output)]
-                for _ in range(args.repeats):
-                    run = child(tree, argv)
-                    figures["sub_wall_ms"].append(1e3 * run["wall_s"])
-                    figures["sub_process_ms"].append(1e3 * run["process_s"])
-                for iterations in args.rss_iterations:
-                    argv = ["-m", "dse_link.cli", *simulate_argv(iterations, output)]
-                    figures[f"rss_{iterations}"].append(child(tree, argv)["rss_mb"])
+                for iterations in (ITERATIONS,) * REPEATS + RSS_ITERATIONS:
+                    run = child(tree, ["-m", "dse_link.cli", *simulate_argv(iterations, output)])
+                    figures[f"rss_{iterations}"].append(run["rss_mb"])
+                    if iterations == ITERATIONS:
+                        figures["sub_wall_ms"].append(1e3 * run["wall_s"])
+                        figures["sub_process_ms"].append(1e3 * run["process_s"])
     tier1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-    for round_ in range(args.tier1_runs):
+    for round_ in range(tier1_runs):
         for name in turns(trees, round_):
             # a failing suite is still timed; its summary line is recorded
             run = child(trees[name], tier1, cwd=trees[name], check=False)
@@ -173,12 +175,12 @@ def measure(trees: dict[str, Path], args) -> dict:
                                     process_ms=summary(f["process_ms"])),
             simulate_subprocess=dict(wall_ms=summary(f["sub_wall_ms"]),
                                      process_ms=summary(f["sub_process_ms"])),
-            peak_rss_mb={str(n): summary(f[f"rss_{n}"]) for n in args.rss_iterations},
+            peak_rss_mb={str(n): summary(f[f"rss_{n}"]) for n in (ITERATIONS, *RSS_ITERATIONS)},
             tier1=dict(
                 wall_s=summary(f["tier1_wall_s"]),
                 process_s=summary(f["tier1_process_s"]),
                 result=f["tier1_result"],
-            ) if args.tier1_runs else None,
+            ) if tier1_runs else None,
             layers_ms={layer: summary(f[layer]) for layer in LAYERS},
         )
         for name, f in raw.items()
@@ -193,19 +195,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--tree", action="append", required=True, metavar="NAME=PATH",
                         help="a checkout to measure; repeat to compare trees")
-    parser.add_argument("--iterations", type=int, default=10_000)
-    parser.add_argument("--pairs", type=int, default=10, help="rounds over the trees")
-    parser.add_argument("--repeats", type=int, default=5, help="calls per tree per round")
-    parser.add_argument("--rss-iterations", type=int, nargs="+", default=[10_000, 1_000_000])
-    parser.add_argument("--tier1-runs", type=int, default=1)
+    parser.add_argument("--tier1-runs", type=int, default=1, help="test-suite runs per tree")
     args = parser.parse_args(argv)
-    counts = [args.iterations, args.pairs, args.repeats, *args.rss_iterations]
-    if min(counts) < 1 or args.tier1_runs < 0:
-        parser.error("--tier1-runs must be >= 0, and the other counts >= 1")
-    trees = {}
-    for spec in args.tree:
-        name, _, path = spec.partition("=")
-        trees[name] = Path(path).resolve()
+    if args.tier1_runs < 0:
+        parser.error("--tier1-runs must be >= 0")
+    specs = (spec.partition("=") for spec in args.tree)
+    trees = {name: Path(path).resolve() for name, _, path in specs}
     import numpy
 
     document = dict(
@@ -216,8 +211,11 @@ def main(argv=None) -> int:
             numpy=numpy.__version__,
             platform=platform.platform(),
         ),
-        settings=dict(seed=SEED, **{k: v for k, v in vars(args).items() if k not in ("out", "tree")}),
-        trees=measure(trees, args),
+        settings=dict(
+            seed=SEED, iterations=ITERATIONS, pairs=PAIRS, repeats=REPEATS,
+            rss_iterations=[ITERATIONS, *RSS_ITERATIONS], tier1_runs=args.tier1_runs,
+        ),
+        trees=measure(trees, args.tier1_runs),
     )
     args.out.write_text(json.dumps(document, indent=2) + "\n")
     return 0

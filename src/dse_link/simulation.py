@@ -321,12 +321,10 @@ def _estimate_counts(
     return ok, estimates
 
 
-def _moments(counts: dict, estimated: tuple | None = None) -> tuple:
+def _moments(ok: np.ndarray, estimates: dict) -> tuple:
     """(n, mean, M2, M3, M4) of the dse, uncorrected and corrected estimates
-    and sqrt(variance) over the n iterations of ``counts`` that no
-    precondition excludes, Mk the sum of (x - mean)**k; each but n an array.
-    ``estimated``, if given, is ``_estimate_counts(**counts)``."""
-    ok, estimates = estimated or _estimate_counts(**counts)
+    and sqrt(variance) over the n iterations that ``ok`` keeps, from
+    ``_estimate_counts``' pair; Mk is the sum of (x - mean)**k, each but n an array."""
     columns = [estimates[name][ok] for name in ("dse", "uncorrected", "corrected")]
     columns.append(np.sqrt(estimates["variance"][ok]))
     n, moments = int(np.count_nonzero(ok)), []
@@ -404,7 +402,7 @@ def _accumulate(config: ScenarioConfig) -> tuple:
         part = _estimate_counts(**counts)
         block[1]["estimate"] += (middle := time.perf_counter_ns()) - start
         # free the estimates before the merge: held through it, a grid call page-faults more
-        part = _moments(counts, part)
+        part = _moments(*part)
         moments = _merge(moments, part)
         block[1]["aggregation"] += time.perf_counter_ns() - middle
     return moments

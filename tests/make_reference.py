@@ -1,9 +1,10 @@
 """Write the bundled grid's high-precision reference,
-``tests/data/table1_reference.csv``.
+``tests/data/table1_reference.csv``, or ``--output``.
 
-    PYTHONPATH=src python tests/make_reference.py --seed 31415926 --iterations 10000000
+    PYTHONPATH=src python tests/make_reference.py
 
-For each row of the bundled grid, at N = 1000, the file records:
+For each row of the bundled grid, at N = 1000, seed ``SEED`` and
+``ITERATIONS`` iterations (fixed, and recorded in the row), it writes:
 
 - ``bias_<estimator>``: the signed relative bias, 100 * (mean - N) / N,
   of the dse, uncorrected and corrected estimators;
@@ -36,12 +37,13 @@ import csv
 import math
 from pathlib import Path
 
-from dse_link.cli import bundled_scenario_path, load_scenario_file
+from dse_link.cli import SCENARIO_COLUMNS as KEY_COLUMNS, bundled_scenario_path, load_scenario_file
 from dse_link.simulation import _accumulate
 
 PATH = Path(__file__).resolve().parent / "data" / "table1_reference.csv"
+SEED = 31415926
+ITERATIONS = 10**7
 POPULATION = 1000
-KEY_COLUMNS = ("p1", "p2", "fnr", "fpr", "f")
 ESTIMATORS = ("dse", "uncorrected", "corrected")
 METRICS = (
     *(f"bias_{name}" for name in ESTIMATORS),
@@ -78,21 +80,17 @@ def reference_row(config) -> dict:
 
 
 def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--iterations", type=int, required=True)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--output", type=Path, default=PATH)
     args = parser.parse_args(argv)
-    configs = load_scenario_file(bundled_scenario_path(), args.iterations, args.seed, POPULATION)
+    configs = load_scenario_file(bundled_scenario_path(), ITERATIONS, SEED, POPULATION)
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(COLUMNS)
         for config in configs:
             row = reference_row(config)
             keys = (config.p1plus, config.pplus1, config.fnr, config.fpr, config.f)
-            writer.writerow(
-                [*keys, config.seed, config.iterations, *(f"{row[c]:.12g}" for c in VALUE_COLUMNS)]
-            )
+            writer.writerow([*keys, SEED, ITERATIONS, *(f"{row[c]:.12g}" for c in VALUE_COLUMNS)])
             print(*keys, flush=True)
 
 

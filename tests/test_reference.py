@@ -12,6 +12,7 @@ import pytest
 from dse_link import run_scenario
 from dse_link.cli import bundled_scenario_path, load_scenario_file
 from dse_link.simulation import CHUNK, _draw_counts, _estimate_counts, _shared_draws
+import make_reference
 from make_reference import COLUMNS, ESTIMATORS, KEY_COLUMNS, METRICS, PATH, POPULATION
 from make_reference import main, reference_row
 
@@ -110,13 +111,15 @@ def test_reference_rows_are_the_bundled_grid():
         assert int(row["seed"]) != SEED
 
 
-def test_reference_generator_writes_the_grid(tmp_path):
+def test_reference_generator_writes_the_grid(tmp_path, monkeypatch):
     path = tmp_path / "reference.csv"
-    main(["--seed", "1", "--iterations", "50", "--output", str(path)])
+    monkeypatch.setattr(make_reference, "ITERATIONS", 50)
+    main(["--output", str(path)])
     with open(path, newline="", encoding="utf-8") as handle:
         header, *rows = csv.reader(handle)
     assert tuple(header) == COLUMNS
     assert [len(row) for row in rows] == [len(COLUMNS)] * 12
+    assert {tuple(row[5:7]) for row in rows} == {(str(make_reference.SEED), "50")}
     assert all(math.isfinite(float(value)) for row in rows for value in row)
 
 

@@ -369,7 +369,7 @@ class TestRunScenario:
         assert estimates["sigma2_eps"][0] == 0 and estimates["variance"][0] < 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            n, *moments = simulation._moments(counts)
+            n, *moments = simulation._moments(*_estimate_counts(**counts))
         assert n == 2
         columns = [estimates[name][ok] for name in ("dse", "uncorrected", "corrected")]
         columns.append(np.sqrt(estimates["variance"][ok]))  # masked first
