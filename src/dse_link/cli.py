@@ -7,6 +7,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -24,7 +25,9 @@ from .rematch import Infeasible, RematchSample, ht_nu, plan_sample_size
 from .simulation import ScenarioConfig, SimulationSummary, _shared_draws, run_scenario
 from .variance import naive_variance_estimate
 
-SCENARIO_COLUMNS = ("p1", "p2", "fnr", "fpr", "f")
+# Scenario-file column -> the ScenarioConfig field it sets.
+SCENARIO_FIELDS = {"p1": "p1plus", "p2": "pplus1", "fnr": "fnr", "fpr": "fpr", "f": "f"}
+SCENARIO_COLUMNS = tuple(SCENARIO_FIELDS)
 SCENARIO_OPTIONAL = ("iterations", "seed")
 # Result table: the scenario key, then metrics in percent, then exclusions.
 METRIC_COLUMNS = (
@@ -103,11 +106,7 @@ def load_scenario_file(
                 try:
                     configs.append(
                         ScenarioConfig(
-                            p1plus=float(row["p1"]),
-                            pplus1=float(row["p2"]),
-                            fnr=float(row["fnr"]),
-                            fpr=float(row["fpr"]),
-                            f=float(row["f"]),
+                            **{field: float(row[c]) for c, field in SCENARIO_FIELDS.items()},
                             seed=int(seed),
                             N=population,
                             iterations=int(iterations),
@@ -149,11 +148,7 @@ def summary_to_row(summary: SimulationSummary) -> dict:
     cfg = summary.config
     stats = (summary.dse, summary.uncorrected, summary.corrected)
     values = (
-        cfg.p1plus,
-        cfg.pplus1,
-        cfg.fnr,
-        cfg.fpr,
-        cfg.f,
+        *(getattr(cfg, field) for field in SCENARIO_FIELDS.values()),
         *(s.erb_pct for s in stats),
         *(s.erse_pct for s in stats),
         summary.arse_pct,
@@ -259,6 +254,9 @@ def cmd_estimate(args) -> int:
         if args.alpha is None or args.beta is None:
             raise ValueError("--alpha and --beta must be given together")
         report["ding_fienberg"] = ding_fienberg(counts, args.alpha, args.beta).n_hat
+    for key, value in report.items():
+        if not math.isfinite(value):
+            raise OverflowError(f"{key} = {value} is beyond the float range")
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -290,9 +288,9 @@ def cmd_simulate(args) -> int:
             rows.append(summary_to_row(summary))
             if args.verbose:
                 alt = summary.arse_root_mean_var_pct
+                key = " ".join(f"{column}={rows[-1][column]}" for column in SCENARIO_COLUMNS)
                 print(
-                    f"scenario p1={config.p1plus} p2={config.pplus1} "
-                    f"fnr={config.fnr} fpr={config.fpr} f={config.f}: "
+                    f"scenario {key}: "
                     f"completed={summary.iterations_completed} "
                     f"arse_root_mean_var={'NA' if alt is None else f'{alt:.4f}%'}",
                     file=sys.stderr,

@@ -12,6 +12,12 @@ import math
 import numbers
 from dataclasses import dataclass
 
+__all__ = [
+    "EstimationError", "InvalidCounts", "ZeroMatches", "NonPositiveCorrectedMatches",
+    "DegenerateDenominator", "ContingencyCounts", "CaptureProbabilities", "ErrorRates",
+    "EstimateReport", "dse", "naive_corrected", "ding_fienberg",
+]
+
 
 class EstimationError(ValueError):
     """Base class for estimator precondition violations."""
@@ -186,5 +192,5 @@ def ding_fienberg(
             f"{beta * counts_star.n1plus}; error rates are inconsistent "
             "with the observed match count"
         )
-    estimate = (alpha - beta) * counts_star.n1plus * counts_star.nplus1 / denominator
-    return EstimateReport(estimate)
+    ratio = dual_system_ratio(counts_star.n1plus, counts_star.nplus1, denominator)
+    return EstimateReport((alpha - beta) * ratio)

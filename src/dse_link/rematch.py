@@ -19,6 +19,11 @@ import numpy as np
 from .estimators import CaptureProbabilities, ErrorRates, EstimationError, integer_count
 from .variance import naive_variance_approx
 
+__all__ = [
+    "SampleTooSmall", "SampleExceedsFrame", "Infeasible", "RematchSample", "NuEstimate",
+    "srswor_total_variance", "ht_nu", "plan_sample_size",
+]
+
 
 class SampleTooSmall(EstimationError):
     """Fewer than two rematch outcomes: the sample variance is undefined."""

@@ -63,6 +63,11 @@ from .estimators import dse, naive_corrected  # noqa: F401
 from .rematch import ht_nu  # noqa: F401
 from .variance import naive_variance_estimate  # noqa: F401
 
+__all__ = [
+    "ScenarioConfig", "TrueLinkageState", "EstimatorStats", "SimulationSummary",
+    "generate_population", "inject_linkage_errors", "draw_rematch", "run_scenario",
+]
+
 # Iterations per random stream. It fixes the stream layout, so changing
 # it changes every result.
 CHUNK = 2**14

@@ -17,6 +17,11 @@ from .estimators import CaptureProbabilities, ContingencyCounts, EstimationError
 if TYPE_CHECKING:
     from .rematch import NuEstimate
 
+__all__ = [
+    "EstimateBelowMargin", "MultinomialMoments", "multinomial_moments",
+    "naive_variance_approx", "naive_variance_estimate",
+]
+
 
 class EstimateBelowMargin(EstimationError):
     """Population estimate does not exceed an observed list size."""

@@ -713,6 +713,20 @@ EXPECTED_FAILURES = [
         "error: OverflowError: int too large to convert to float\n",
         id="plan-frame-overflow",
     ),
+    # finite estimates whose variance is not: nothing printed, not `inf`
+    pytest.param(
+        ["estimate", "--n1", str(13 * 10**153), "--n2", str(13 * 10**153),
+         "--m", str(10**152), "--rematch", "one_plus.csv", "--json"],
+        "error: OverflowError: corrected_variance = inf is beyond the float range\n",
+        id="estimate-variance-overflow",
+    ),
+    # the estimate is about 9.9e200, but n1plus * nplus1 is not a float
+    pytest.param(
+        ["estimate", "--n1", str(10**200), "--n2", str(10**200), "--m", str(10**199),
+         "--alpha", "0.9", "--beta", "0.01", "--json"],
+        "error: OverflowError: int too large to convert to float\n",
+        id="ding-fienberg-count-overflow",
+    ),
 ]
 
 
@@ -729,6 +743,7 @@ def test_expected_failure_is_one_error_line_and_exit_1(
     (tmp_path / "zeros.csv").write_text("0\n" * 5, encoding="utf-8")
     (tmp_path / "minus.csv").write_text("-1\n-1\n", encoding="utf-8")
     (tmp_path / "plus.csv").write_text("+1\n+1\n", encoding="utf-8")
+    (tmp_path / "one_plus.csv").write_text("+1\n" + "0\n" * 89, encoding="utf-8")
     write_scenarios(tmp_path / "scen.csv", ["0.9,0.8,0.02,0.05,0.2"])
     write_scenarios(tmp_path / "bad.csv", ["0.9,0.8,0.02,0.05,0.2", "0.9,0.8,nope,0.05,0.2"])
     (tmp_path / "empty.csv").write_text("", encoding="utf-8")

@@ -130,6 +130,52 @@ def test_grid_matches_reference_in_mcse_units():
     assert not outside, (K, outside)
 
 
+def exact_dse_metrics(p1plus, pplus1, N=POPULATION) -> dict:
+    """The dse's exact ``bias_dse`` and ``erse_dse`` at N, given n11 >= 1,
+    summed over the binomial chain of the capture cells with no sampler:
+    n1plus ~ Bin(N, p1plus), n11 ~ Bin(n1plus, pplus1), and n01 ~
+    Bin(N - n1plus, pplus1) independent of n11 given n1plus. Given
+    (n1plus, n11) the dse n1plus * (n11 + n01) / n11 is linear in n01, so
+    its conditional mean and variance are closed-form, and the law of
+    total variance gives the rest."""
+    k = np.arange(N + 1)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+
+    def binomial_pmf(n, x, p):
+        """Bin(n, p)'s pmf at x, 0 where x > n."""
+        rest = np.maximum(n - x, 0)
+        log_pmf = log_factorial[n] - log_factorial[x] - log_factorial[rest]
+        return np.where(x <= n, np.exp(log_pmf + x * np.log(p) + rest * np.log1p(-p)), 0.0)
+
+    n1, n11 = k[:, None], k[None, :]
+    weight = binomial_pmf(N, n1, p1plus) * binomial_pmf(n1, n11, pplus1)
+    weight[:, 0] = 0.0  # the mask n11 >= 1
+    weight /= weight.sum()
+    n01_mean = (N - n1) * pplus1
+    ratio = n1 / np.maximum(n11, 1)
+    mean_given = ratio * (n11 + n01_mean)
+    mean = (weight * mean_given).sum()
+    variance = (weight * (ratio**2 * n01_mean * (1 - pplus1) + (mean_given - mean) ** 2)).sum()
+    return {"bias_dse": 100 * (mean - N) / N, "erse_dse": 100 * math.sqrt(variance) / N}
+
+
+def test_reference_dse_matches_exact_moments():
+    # Only the rows with no exclusions: until each estimator is masked by
+    # its own preconditions, the reference drops an iteration from the dse
+    # whenever the corrected estimator fails, so on the other rows it
+    # describes the dse on a subset that these sums do not.
+    rows = [row for row in reference_rows() if float(row["exclusion_rate"]) == 0]
+    assert len(rows) == 7
+    pairs = {(row["p1"], row["p2"]) for row in rows}
+    assert len(pairs) == 2
+    exact = {pair: exact_dse_metrics(*map(float, pair)) for pair in pairs}
+    for row in rows:
+        n = int(row["iterations"])
+        for metric, value in exact[row["p1"], row["p2"]].items():
+            z = (float(row[metric]) - value) / (float(row[f"{metric}_mcse"]) / math.sqrt(n))
+            assert abs(z) <= K, (row, metric, value, z)
+
+
 @pytest.mark.parametrize("row", [0, 5], ids=["no-exclusions", "with-exclusions"])
 def test_chunk_accumulation_matches_run_scenario(row):
     # the metrics and MCSEs from the moments that run_scenario merges
