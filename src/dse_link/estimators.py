@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 __all__ = [
     "EstimationError", "InvalidCounts", "ZeroMatches", "NonPositiveCorrectedMatches",
@@ -48,8 +47,55 @@ def integer_count(name: str, value) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class ContingencyCounts:
+class _Value:
+    """Base of the immutable value types. A subclass names its fields, in
+    order, in ``__slots__`` and sets them in ``__init__`` with ``_assign``.
+
+    Values of one type with equal fields are equal and hash alike; a value
+    of another type never equals one. Fields cannot be assigned or deleted.
+    ``repr`` lists the fields; ``copy`` and ``pickle`` restore them without
+    running ``__init__`` again.
+    """
+
+    __slots__ = ()
+
+    def _assign(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._values())
+
+
+def _rebuild(cls, values):
+    """The ``cls`` value with field ``values``, as ``_Value.__reduce__`` saved it."""
+    value = object.__new__(cls)
+    value._assign(*values)
+    return value
+
+
+class ContingencyCounts(_Value):
     """Observed two-list counts: the two list sizes and the linked count.
 
     When the linkage process is error-afflicted, ``n11`` holds the observed
@@ -57,13 +103,11 @@ class ContingencyCounts:
     errors and always refer to list sizes.
     """
 
-    n1plus: int
-    nplus1: int
-    n11: int
+    __slots__ = ("n1plus", "nplus1", "n11")
 
-    def __post_init__(self):
-        for name in ("n1plus", "nplus1", "n11"):
-            value = integer_count(name, getattr(self, name))
+    def __init__(self, n1plus: int, nplus1: int, n11: int):
+        for name, value in zip(self.__slots__, (n1plus, nplus1, n11)):
+            value = integer_count(name, value)
             object.__setattr__(self, name, value)
             if value < 0:
                 raise InvalidCounts(f"{name} must be >= 0, got {value}")
@@ -74,15 +118,14 @@ class ContingencyCounts:
             )
 
 
-@dataclass(frozen=True)
-class CaptureProbabilities:
+class CaptureProbabilities(_Value):
     """Per-source capture probabilities, both strictly inside (0, 1)."""
 
-    p1plus: float
-    pplus1: float
+    __slots__ = ("p1plus", "pplus1")
 
-    def __post_init__(self):
-        for name in ("p1plus", "pplus1"):
+    def __init__(self, p1plus: float, pplus1: float):
+        self._assign(p1plus, pplus1)
+        for name in self.__slots__:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1), got {value}")
@@ -93,8 +136,7 @@ class CaptureProbabilities:
         return self.p1plus * self.pplus1
 
 
-@dataclass(frozen=True)
-class ErrorRates:
+class ErrorRates(_Value):
     """Linkage error rates at the record level.
 
     ``fnr`` is the probability that a record with a true match is left
@@ -102,21 +144,23 @@ class ErrorRates:
     incorrectly linked.
     """
 
-    fnr: float
-    fpr: float
+    __slots__ = ("fnr", "fpr")
 
-    def __post_init__(self):
-        for name in ("fnr", "fpr"):
+    def __init__(self, fnr: float, fpr: float):
+        self._assign(fnr, fpr)
+        for name in self.__slots__:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(_Value):
     """A point estimate of population size."""
 
-    n_hat: float
+    __slots__ = ("n_hat",)
+
+    def __init__(self, n_hat: float):
+        self._assign(n_hat)
 
 
 def dual_system_ratio(n1plus, nplus1, matches):
@@ -156,6 +200,8 @@ def naive_corrected(counts_star: ContingencyCounts, nu_hat: float) -> EstimateRe
             f"corrected match count n11 + nu_hat = {denominator} is not positive"
         )
     estimate = dual_system_ratio(counts_star.n1plus, counts_star.nplus1, denominator)
+    if not math.isfinite(estimate):
+        raise OverflowError(f"naive_corrected = {estimate} is beyond the float range")
     return EstimateReport(estimate)
 
 
@@ -193,4 +239,7 @@ def ding_fienberg(
             "with the observed match count"
         )
     ratio = dual_system_ratio(counts_star.n1plus, counts_star.nplus1, denominator)
-    return EstimateReport((alpha - beta) * ratio)
+    estimate = (alpha - beta) * ratio
+    if not math.isfinite(estimate):
+        raise OverflowError(f"ding_fienberg = {estimate} is beyond the float range")
+    return EstimateReport(estimate)

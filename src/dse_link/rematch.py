@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import CaptureProbabilities, ErrorRates, EstimationError, integer_count
+from .estimators import CaptureProbabilities, ErrorRates, EstimationError, _Value
+from .estimators import integer_count
 from .variance import naive_variance_approx
 
 __all__ = [
@@ -45,14 +45,15 @@ class Infeasible(EstimationError):
         return type(self), (str(self), self.min_achievable_rse)
 
 
-@dataclass(frozen=True, eq=False)
-class RematchSample:
-    """Outcome codes of a without-replacement rematch sample from source 1."""
+class RematchSample(_Value):
+    """Outcome codes of a without-replacement rematch sample from source 1.
+    Two samples are equal only if they are the same object."""
 
-    outcomes: np.ndarray
-    n1plus: int
+    __slots__ = ("outcomes", "n1plus")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, outcomes: np.ndarray, n1plus: int):
+        self._assign(outcomes, n1plus)
         codes = np.asarray(self.outcomes)
         if codes.ndim != 1:
             raise ValueError("outcomes must be one-dimensional")
@@ -79,14 +80,13 @@ class RematchSample:
         return self.outcomes.size
 
 
-@dataclass(frozen=True)
-class NuEstimate:
+class NuEstimate(_Value):
     """Estimated net correction to the match count and its variance."""
 
-    nu_hat: float
-    sigma2_eps: float
+    __slots__ = ("nu_hat", "sigma2_eps")
 
-    def __post_init__(self):
+    def __init__(self, nu_hat: float, sigma2_eps: float):
+        self._assign(nu_hat, sigma2_eps)
         if not math.isfinite(self.nu_hat):
             raise ValueError(f"nu_hat must be finite, got {self.nu_hat}")
         if not 0 <= self.sigma2_eps < math.inf:

@@ -48,11 +48,10 @@ import contextvars
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import ContingencyCounts, ErrorRates, dual_system_ratio, integer_count
+from .estimators import ContingencyCounts, ErrorRates, _Value, dual_system_ratio, integer_count
 from .rematch import RematchSample, SampleTooSmall, code_variance, expansion_total
 from .rematch import srswor_total_variance
 from .variance import linearized_variance
@@ -73,20 +72,16 @@ __all__ = [
 CHUNK = 2**14
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
+class ScenarioConfig(_Value):
     """Parameters of one simulation scenario."""
 
-    p1plus: float
-    pplus1: float
-    fnr: float
-    fpr: float
-    f: float
-    seed: int
-    N: int = 1000
-    iterations: int = 10000
+    __slots__ = ("p1plus", "pplus1", "fnr", "fpr", "f", "seed", "N", "iterations")
 
-    def __post_init__(self):
+    def __init__(
+        self, p1plus: float, pplus1: float, fnr: float, fpr: float, f: float, seed: int,
+        N: int = 1000, iterations: int = 10000,
+    ):
+        self._assign(p1plus, pplus1, fnr, fpr, f, seed, N, iterations)
         for name in ("p1plus", "pplus1", "f"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
@@ -111,11 +106,10 @@ class ScenarioConfig:
         return value
 
 
-@dataclass(frozen=True, eq=False)
-class TrueLinkageState:
+class TrueLinkageState(_Value):
     """Ground truth for one iteration: error-free counts, injected error
     totals, per-record flags, and the error-afflicted counts derived from
-    them.
+    them. Two states are equal only if they are the same object.
 
     ``source1_codes`` has one entry per source-1 record (matched records
     first): +1 for an injected false negative, -1 for an injected false
@@ -124,13 +118,14 @@ class TrueLinkageState:
     spurious links push that past nplus1.
     """
 
-    counts_true: ContingencyCounts
-    source1_codes: np.ndarray
-    pi: int = 0
-    eta: int = 0
-    counts_star: ContingencyCounts = field(init=False)
+    __slots__ = ("counts_true", "source1_codes", "pi", "eta", "counts_star")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
-    def __post_init__(self):
+    def __init__(
+        self, counts_true: ContingencyCounts, source1_codes: np.ndarray, pi: int = 0,
+        eta: int = 0,
+    ):
+        self._assign(counts_true, source1_codes, pi, eta)
         true = self.counts_true
         if not 0 <= self.pi <= true.n11:
             raise ValueError(f"pi={self.pi} outside [0, n11={true.n11}]")
@@ -143,17 +138,16 @@ class TrueLinkageState:
         object.__setattr__(self, "counts_star", star)
 
 
-@dataclass(frozen=True)
-class EstimatorStats:
+class EstimatorStats(_Value):
     """Aggregates for one estimator over the completed iterations."""
 
-    mean: float | None
-    erb_pct: float | None
-    erse_pct: float | None
+    __slots__ = ("mean", "erb_pct", "erse_pct")
+
+    def __init__(self, mean: float | None, erb_pct: float | None, erse_pct: float | None):
+        self._assign(mean, erb_pct, erse_pct)
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class SimulationSummary(_Value):
     """One scenario's aggregated results.
 
     ``arse_pct`` averages the per-iteration relative standard errors of
@@ -162,14 +156,20 @@ class SimulationSummary:
     transparency.
     """
 
-    config: ScenarioConfig
-    dse: EstimatorStats
-    uncorrected: EstimatorStats
-    corrected: EstimatorStats
-    arse_pct: float | None
-    arse_root_mean_var_pct: float | None
-    iterations_completed: int
-    exclusions: int
+    __slots__ = (
+        "config", "dse", "uncorrected", "corrected", "arse_pct", "arse_root_mean_var_pct",
+        "iterations_completed", "exclusions",
+    )
+
+    def __init__(
+        self, config: ScenarioConfig, dse: EstimatorStats, uncorrected: EstimatorStats,
+        corrected: EstimatorStats, arse_pct: float | None, arse_root_mean_var_pct: float | None,
+        iterations_completed: int, exclusions: int,
+    ):
+        self._assign(
+            config, dse, uncorrected, corrected, arse_pct, arse_root_mean_var_pct,
+            iterations_completed, exclusions,
+        )
 
 
 def generate_population(config: ScenarioConfig, rng: np.random.Generator) -> TrueLinkageState:

@@ -9,10 +9,9 @@ up one extra additive term from the rematch-study noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .estimators import CaptureProbabilities, ContingencyCounts, EstimationError
+from .estimators import CaptureProbabilities, ContingencyCounts, EstimationError, _Value
 
 if TYPE_CHECKING:
     from .rematch import NuEstimate
@@ -27,17 +26,22 @@ class EstimateBelowMargin(EstimationError):
     """Population estimate does not exceed an observed list size."""
 
 
-@dataclass(frozen=True)
-class MultinomialMoments:
+class MultinomialMoments(_Value):
     """Second moments of the observed counts for an independent two-source
     capture of N individuals (multinomial over the four capture cells)."""
 
-    var_n1plus: float
-    var_nplus1: float
-    var_n11: float
-    cov_n1plus_nplus1: float
-    cov_n1plus_n11: float
-    cov_nplus1_n11: float
+    __slots__ = (
+        "var_n1plus", "var_nplus1", "var_n11",
+        "cov_n1plus_nplus1", "cov_n1plus_n11", "cov_nplus1_n11",
+    )
+
+    def __init__(
+        self, var_n1plus: float, var_nplus1: float, var_n11: float,
+        cov_n1plus_nplus1: float, cov_n1plus_n11: float, cov_nplus1_n11: float,
+    ):
+        self._assign(
+            var_n1plus, var_nplus1, var_n11, cov_n1plus_nplus1, cov_n1plus_n11, cov_nplus1_n11
+        )
 
 
 def multinomial_moments(N: float, capture: CaptureProbabilities) -> MultinomialMoments:

@@ -474,16 +474,16 @@ class TestPlanCommand:
         assert code == 0
         assert "n_r: 98" in capsys.readouterr().out
 
-    def test_loads_neither_secrets_nor_hashlib(self):
+    def test_loads_no_secrets_hashlib_or_dataclasses(self):
         # a fresh interpreter, so that no other test has loaded them; numpy
-        # 1.24 loads both itself, which this test allows
+        # 1.24 loads secrets and hashlib itself, which this test allows
         script = textwrap.dedent("""
             import sys, numpy
             before = set(sys.modules)
             from dse_link.cli import main
             main(["plan", "--n1", "900", "--p1", "0.9", "--p2", "0.8", "--N", "1000",
                   "--fnr", "0.02", "--fpr", "0.05", "--target-rse", "0.02"])
-            print(sorted({"secrets", "hashlib"} & set(sys.modules).difference(before)))
+            print(sorted({"secrets", "hashlib", "dataclasses"} & set(sys.modules).difference(before)))
         """)
         env = dict(os.environ, PYTHONPATH=str(Path(dse_link.__file__).parent.parent))
         proc = subprocess.run(
@@ -726,6 +726,14 @@ EXPECTED_FAILURES = [
          "--alpha", "0.9", "--beta", "0.01", "--json"],
         "error: OverflowError: int too large to convert to float\n",
         id="ding-fienberg-count-overflow",
+    ),
+    # finite counts, but n11 - beta * n1plus is positive and tiny: the
+    # estimator itself raises
+    pytest.param(
+        ["estimate", "--n1", "2", "--n2", str(10**305), "--m", "1",
+         "--alpha", "0.9", "--beta", "0.4999999"],
+        "error: OverflowError: ding_fienberg = inf is beyond the float range\n",
+        id="ding-fienberg-estimate-overflow",
     ),
 ]
 

@@ -139,6 +139,11 @@ class TestNaiveCorrected:
         with pytest.raises(NonPositiveCorrectedMatches):
             naive_corrected(ContingencyCounts(900, 800, 10), -math.inf)
 
+    def test_estimate_beyond_float_range_raises(self):
+        # a positive but tiny corrected match count, not an overflowing product
+        with pytest.raises(OverflowError, match="naive_corrected = inf is beyond"):
+            naive_corrected(ContingencyCounts(2, 10**305, 1), -0.9999999)
+
 
 class TestDingFienberg:
     def test_no_error_reduces_to_dse(self):
@@ -182,6 +187,11 @@ class TestDingFienberg:
             ding_fienberg(ContingencyCounts(900, 800, 18), 0.95, 0.02)
         with pytest.raises(DegenerateDenominator):
             ding_fienberg(ContingencyCounts(900, 800, 10), 0.95, 0.02)
+
+    def test_estimate_beyond_float_range_raises(self):
+        # n11 - beta * n1plus is positive but tiny
+        with pytest.raises(OverflowError, match="ding_fienberg = inf is beyond"):
+            ding_fienberg(ContingencyCounts(2, 10**305, 1), 0.9, 0.4999999)
 
     @pytest.mark.parametrize(
         "alpha,beta",
