@@ -19,7 +19,11 @@ a turn, each pair of rounds alternating which runs first, and records:
 - ``layers_ms``: each in-process call split into ``LAYERS``: the stage
   times in the counter of the ``_shared_draws`` block that
   ``cli.cmd_simulate`` opens (a reused stage costs only the state
-  restore), and the time of ``cli.render_csv``.
+  restore), and the time of ``cli.render_csv``;
+- ``import_ms``: ``REPEATS`` imports of ``dse_link.cli`` in one child
+  that has imported numpy, each after deleting ``dse_link`` and its
+  modules from ``sys.modules``, as perfbench's set-up does. The script
+  lives here, not in the tree's worker, so any tree gives the figure.
 
 Then ``tier1`` times ``--tier1-runs`` runs of each tree's test suite.
 The in-process calls run in each tree's own ``bench/write_bench.py
@@ -91,6 +95,23 @@ def child(tree: Path, argv: list[str], cwd: Path | None = None, check: bool = Tr
     )
 
 
+def import_script(repeats: int) -> str:
+    """A child's script: ``repeats`` fresh imports of ``dse_link.cli``, after
+    numpy's, printed as one JSON list of ms."""
+    return f"""
+import json, sys, time
+import numpy
+times = []
+for _ in range({repeats}):
+    for name in [m for m in sys.modules if m == "dse_link" or m.startswith("dse_link.")]:
+        del sys.modules[name]
+    start = time.perf_counter()
+    import dse_link.cli
+    times.append(1e3 * (time.perf_counter() - start))
+print(json.dumps(times))
+"""
+
+
 def worker(iterations: int, repeats: int) -> dict:
     """In-process grid calls, each split into ``LAYERS``; run in a child
     whose ``dse_link`` is the tree's. A failed call stops it."""
@@ -152,6 +173,7 @@ def measure(trees: dict[str, Path], tier1_runs: int) -> dict:
             worker = [script, "--worker", str(ITERATIONS), str(REPEATS)]
             for key, values in json.loads(child(tree, worker)["last"]).items():
                 figures[key] += values
+            figures["import_ms"] += json.loads(child(tree, ["-c", import_script(REPEATS)])["last"])
             with tempfile.TemporaryDirectory() as tmp:
                 output = str(Path(tmp, "out.csv"))
                 for iterations in (ITERATIONS,) * REPEATS + RSS_ITERATIONS:
@@ -182,6 +204,7 @@ def measure(trees: dict[str, Path], tier1_runs: int) -> dict:
                 result=f["tier1_result"],
             ) if tier1_runs else None,
             layers_ms={layer: summary(f[layer]) for layer in LAYERS},
+            import_ms=summary(f["import_ms"]),
         )
         for name, f in raw.items()
     }

@@ -85,14 +85,10 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return _rebuild, (type(self), self._values())
+        return object.__new__, (type(self),), self._values()
 
-
-def _rebuild(cls, values):
-    """The ``cls`` value with field ``values``, as ``_Value.__reduce__`` saved it."""
-    value = object.__new__(cls)
-    value._assign(*values)
-    return value
+    def __setstate__(self, state):
+        self._assign(*state)
 
 
 class ContingencyCounts(_Value):

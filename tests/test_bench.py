@@ -21,8 +21,10 @@ SUMMARY = {"best", "median", "q1", "q3", "n"}
 MACHINE = {"cpu_count", "python", "numpy", "platform"}
 TREE = {
     "commit", "dirty", "simulate_inprocess", "simulate_subprocess", "peak_rss_mb", "tier1",
-    "layers_ms",
+    "layers_ms", "import_ms",
 }
+# the first file that records import_ms; the ones before it predate the figure
+FIRST_WITH_IMPORT_MS = 34
 LAYERS = {
     "capture_draw", "error_injection", "rematch_draw", "estimate_counts", "aggregation",
     "render_csv",
@@ -72,7 +74,10 @@ def test_writer_writes_every_field(tmp_path, monkeypatch):
     tree = document["trees"]["change"]
     assert set(tree) == TREE
     assert tree["tier1"] is None
-    timings = [*tree["simulate_inprocess"].values(), *tree["simulate_subprocess"].values()]
+    timings = [
+        *tree["simulate_inprocess"].values(), *tree["simulate_subprocess"].values(),
+        tree["import_ms"],
+    ]
     assert set(tree["simulate_inprocess"]) == set(tree["simulate_subprocess"]) == {
         "wall_ms", "process_ms"
     }
@@ -103,7 +108,8 @@ def test_committed_bench_file_matches_the_writer(path):
         repeats=write_bench.REPEATS,
         rss_iterations=[write_bench.ITERATIONS, *write_bench.RSS_ITERATIONS],
     )
+    number = int(re.fullmatch(r"BENCH_(\d+)", path.stem).group(1))
     for tree in document["trees"].values():
-        assert TREE <= set(tree)
+        assert TREE - ({"import_ms"} if number < FIRST_WITH_IMPORT_MS else set()) <= set(tree)
         assert set(tree["layers_ms"]) == LAYERS
         assert set(tree["peak_rss_mb"]) == {str(n) for n in settings["rss_iterations"]}
