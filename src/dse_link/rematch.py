@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-from .estimators import CaptureProbabilities, ErrorRates, EstimationError, _Value
-from .estimators import integer_count
+from .estimators import CaptureProbabilities, ErrorRates, EstimationError, _Value, integer_count
 from .variance import naive_variance_approx
 
 __all__ = [

@@ -383,10 +383,7 @@ def grid_configs(seed, iterations=500):
 
 def replace(config, **changes):
     """``config`` with ``changes`` to its fields."""
-    fields = dict(
-        p1plus=config.p1plus, pplus1=config.pplus1, fnr=config.fnr, fpr=config.fpr,
-        f=config.f, seed=config.seed, N=config.N, iterations=config.iterations,
-    )
+    fields = {name: getattr(config, name) for name in ScenarioConfig.__slots__}
     return ScenarioConfig(**{**fields, **changes})
 
 
