@@ -4,11 +4,16 @@
     python bench/write_bench.py --out BENCH_<n>.json \\
         --tree parent=<clean clone of the parent> --tree change=.
 
-Every file runs one fixed protocol, the module constants recorded under
-``settings``, so any two compare; only ``--tier1-runs`` varies. Each
-figure is taken in a child interpreter with ``PYTHONPATH=<tree>/src``, so
-trees never share a process. In each of ``PAIRS`` rounds every tree takes
-a turn, each pair of rounds alternating which runs first, and records:
+The writer takes only ``--out`` and ``--tree``. Every file runs one fixed
+protocol, the module constants recorded under ``settings``, so any two
+compare. Each figure is taken in a child interpreter whose environment is
+exactly ``PATH``, ``PYTHONPATH=<tree>/src`` and
+``PYTHONDONTWRITEBYTECODE=1``, so trees never share a process, nothing
+else of the caller's environment reaches a timed process, and every
+import of ``dse_link`` compiles its modules. A tree whose ``src`` holds a
+``__pycache__`` directory stops the writer, since its imports would not
+compile. In each of ``PAIRS`` rounds every tree takes a turn, each pair
+of rounds alternating which runs first, and records:
 
 - ``simulate_inprocess``: ``REPEATS`` warmed-up ``cli.main(["simulate",
   ...])`` calls at ``ITERATIONS`` iterations, wall and process time each;
@@ -25,7 +30,7 @@ a turn, each pair of rounds alternating which runs first, and records:
   modules from ``sys.modules``, as perfbench's set-up does. The script
   lives here, not in the tree's worker, so any tree gives the figure.
 
-Then ``tier1`` times ``--tier1-runs`` runs of each tree's test suite.
+Then ``tier1`` times ``TIER1_RUNS`` runs of each tree's test suite.
 The in-process calls run in each tree's own ``bench/write_bench.py
 --worker ITERATIONS REPEATS``, which prints one JSON object of per-call
 lists and exits nonzero if a call fails; a tree older than the engine's
@@ -60,6 +65,7 @@ ITERATIONS = 10_000
 PAIRS = 10  # rounds over the trees
 REPEATS = 5  # calls of each kind per tree and round
 RSS_ITERATIONS = (1_000_000,)  # besides ITERATIONS
+TIER1_RUNS = 1  # test-suite runs per tree
 
 
 def summary(values: list[float]) -> dict:
@@ -77,7 +83,7 @@ def child(tree: Path, argv: list[str], cwd: Path | None = None, check: bool = Tr
     """Run ``python argv`` against ``tree``'s source; its wall time, process
     time and peak RSS, and the last line of its stdout. With ``check``, a
     nonzero exit status stops the writer."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(PATH=os.environ["PATH"], PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], cwd=cwd, env=env, stdout=subprocess.PIPE)
     out = proc.stdout.read()
@@ -164,7 +170,7 @@ def turns(trees: dict, round_: int) -> list:
     return list(trees) if round_ % 2 == 0 else list(trees)[::-1]
 
 
-def measure(trees: dict[str, Path], tier1_runs: int) -> dict:
+def measure(trees: dict[str, Path]) -> dict:
     raw = {name: collections.defaultdict(list) for name in trees}
     for round_ in range(PAIRS):
         for name in turns(trees, round_):
@@ -183,7 +189,7 @@ def measure(trees: dict[str, Path], tier1_runs: int) -> dict:
                         figures["sub_wall_ms"].append(1e3 * run["wall_s"])
                         figures["sub_process_ms"].append(1e3 * run["process_s"])
     tier1 = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-    for round_ in range(tier1_runs):
+    for round_ in range(TIER1_RUNS):
         for name in turns(trees, round_):
             # a failing suite is still timed; its summary line is recorded
             run = child(trees[name], tier1, cwd=trees[name], check=False)
@@ -202,7 +208,7 @@ def measure(trees: dict[str, Path], tier1_runs: int) -> dict:
                 wall_s=summary(f["tier1_wall_s"]),
                 process_s=summary(f["tier1_process_s"]),
                 result=f["tier1_result"],
-            ) if tier1_runs else None,
+            ) if TIER1_RUNS else None,
             layers_ms={layer: summary(f[layer]) for layer in LAYERS},
             import_ms=summary(f["import_ms"]),
         )
@@ -218,12 +224,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--tree", action="append", required=True, metavar="NAME=PATH",
                         help="a checkout to measure; repeat to compare trees")
-    parser.add_argument("--tier1-runs", type=int, default=1, help="test-suite runs per tree")
     args = parser.parse_args(argv)
-    if args.tier1_runs < 0:
-        parser.error("--tier1-runs must be >= 0")
     specs = (spec.partition("=") for spec in args.tree)
     trees = {name: Path(path).resolve() for name, _, path in specs}
+    for tree in trees.values():
+        if cache := next((tree / "src").rglob("__pycache__"), None):
+            raise SystemExit(f"{cache} exists, so imports from {tree} would not compile")
     import numpy
 
     document = dict(
@@ -236,9 +242,9 @@ def main(argv=None) -> int:
         ),
         settings=dict(
             seed=SEED, iterations=ITERATIONS, pairs=PAIRS, repeats=REPEATS,
-            rss_iterations=[ITERATIONS, *RSS_ITERATIONS], tier1_runs=args.tier1_runs,
+            rss_iterations=[ITERATIONS, *RSS_ITERATIONS], tier1_runs=TIER1_RUNS,
         ),
-        trees=measure(trees, args.tier1_runs),
+        trees=measure(trees),
     )
     args.out.write_text(json.dumps(document, indent=2) + "\n")
     return 0

@@ -159,6 +159,13 @@ class EstimateReport(_Value):
         self._assign(n_hat)
 
 
+def _finite(name: str, value: float) -> float:
+    """``value``, or an OverflowError that names ``name`` when it is not finite."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{name} = {value} is beyond the float range")
+    return value
+
+
 def dual_system_ratio(n1plus, nplus1, matches):
     """n1plus * nplus1 / matches, on Python numbers or numpy arrays."""
     return n1plus * nplus1 / matches
@@ -196,9 +203,7 @@ def naive_corrected(counts_star: ContingencyCounts, nu_hat: float) -> EstimateRe
             f"corrected match count n11 + nu_hat = {denominator} is not positive"
         )
     estimate = dual_system_ratio(counts_star.n1plus, counts_star.nplus1, denominator)
-    if not math.isfinite(estimate):
-        raise OverflowError(f"naive_corrected = {estimate} is beyond the float range")
-    return EstimateReport(estimate)
+    return EstimateReport(_finite("naive_corrected", estimate))
 
 
 def ding_fienberg(
@@ -235,7 +240,4 @@ def ding_fienberg(
             "with the observed match count"
         )
     ratio = dual_system_ratio(counts_star.n1plus, counts_star.nplus1, denominator)
-    estimate = (alpha - beta) * ratio
-    if not math.isfinite(estimate):
-        raise OverflowError(f"ding_fienberg = {estimate} is beyond the float range")
-    return EstimateReport(estimate)
+    return EstimateReport(_finite("ding_fienberg", (alpha - beta) * ratio))

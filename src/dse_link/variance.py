@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .estimators import CaptureProbabilities, ContingencyCounts, EstimationError, _Value
+from .estimators import CaptureProbabilities, ContingencyCounts, EstimationError, _finite, _Value
 
 if TYPE_CHECKING:
     from .rematch import NuEstimate
@@ -79,7 +79,9 @@ def naive_variance_approx(
     Equals the dual system estimator's, N*(1 - p1plus)*(1 - pplus1)/p11 (its
     value at sigma2_eps = 0), plus sigma2_eps / p11**2, where p11 =
     p1plus * pplus1 and sigma2_eps is the variance of the rematch
-    correction. Raises ValueError when p11**2 underflows to 0.
+    correction. Raises ValueError when p11**2 underflows to 0. A variance
+    too large for a float is returned as inf, which the planner's search
+    reads as "not feasible".
     """
     if not sigma2_eps >= 0:
         raise ValueError(f"sigma2_eps must be >= 0, got {sigma2_eps}")
@@ -102,7 +104,8 @@ def naive_variance_estimate(
 
     The estimate must exceed both list sizes so the plug-in probabilities
     stay inside (0, 1); boundary cases raise rather than clamp, since they
-    signal a logically inconsistent input.
+    signal a logically inconsistent input. A variance too large for a
+    float raises OverflowError.
     """
     if not (n_tilde > counts_star.n1plus and n_tilde > counts_star.nplus1):
         raise EstimateBelowMargin(
@@ -112,4 +115,5 @@ def naive_variance_estimate(
     capture = CaptureProbabilities(
         counts_star.n1plus / n_tilde, counts_star.nplus1 / n_tilde
     )
-    return naive_variance_approx(n_tilde, capture, nu.sigma2_eps)
+    variance = naive_variance_approx(n_tilde, capture, nu.sigma2_eps)
+    return _finite("naive_variance_estimate", variance)

@@ -1,14 +1,17 @@
 """The BENCH writer, ``bench/write_bench.py``. Run in process with its
-protocol constants patched to tiny values, it must write every field; it
-must reject a negative ``--tier1-runs`` before it runs, and its worker
-must stop at a failed call. Its figures are not checked, and it does not
-run the test suite. Every committed ``BENCH_*.json`` must hold what the
-writer writes, at the writer's settings, so any two of them compare."""
+protocol constants patched to tiny values, on a copy of this checkout's
+source, it must write every field, with none of the caller's environment
+reaching its children; it must refuse a tree that holds bytecode before
+it runs, and its worker must stop at a failed call. Its figures are not
+checked, and it does not run the test suite. Every committed
+``BENCH_*.json`` must hold what the writer writes, at the writer's
+settings, so any two of them compare."""
 
 import importlib.util
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,12 +38,22 @@ write_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(write_bench)
 
 
-def test_writer_rejects_counts_below_one(tmp_path, capsys):
+@pytest.fixture
+def tree(tmp_path):
+    """The writer's view of this checkout, without the bytecode that
+    importing ``dse_link`` from ``src`` may have left."""
+    tree = tmp_path / "tree"
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    return tree
+
+
+def test_writer_refuses_a_tree_with_bytecode(tmp_path, tree):
+    cache = tree / "src" / "dse_link" / "__pycache__"
+    cache.mkdir()
     out = tmp_path / "BENCH.json"
-    with pytest.raises(SystemExit) as exit_:
-        write_bench.main(["--out", str(out), "--tree", f"change={ROOT}", "--tier1-runs", "-1"])
-    assert exit_.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1].endswith("--tier1-runs must be >= 0")
+    with pytest.raises(SystemExit, match=f"{re.escape(str(cache))} exists"):
+        write_bench.main(["--out", str(out), "--tree", f"change={tree}"])
     assert not out.exists()
 
 
@@ -57,13 +70,15 @@ def test_worker_stops_at_a_failed_call():
     assert re.fullmatch(pattern, proc.stderr.splitlines()[-1])
 
 
-def test_writer_writes_every_field(tmp_path, monkeypatch):
+def test_writer_writes_every_field(tmp_path, tree, monkeypatch):
     # the constants reach each tree's worker through its argv
-    for name, value in dict(ITERATIONS=20, PAIRS=1, REPEATS=2, RSS_ITERATIONS=(30,)).items():
+    constants = dict(ITERATIONS=20, PAIRS=1, REPEATS=2, RSS_ITERATIONS=(30,), TIER1_RUNS=0)
+    for name, value in constants.items():
         monkeypatch.setattr(write_bench, name, value)
+    # an invalid thread count would fail every call, if it reached a child
+    monkeypatch.setenv("DSE_LINK_THREADS", "0")
     out = tmp_path / "BENCH.json"
-    argv = ["--out", str(out), "--tree", f"change={ROOT}", "--tier1-runs", "0"]
-    assert write_bench.main(argv) == 0
+    assert write_bench.main(["--out", str(out), "--tree", f"change={tree}"]) == 0
     document = json.loads(out.read_text())
     assert set(document) == {"machine", "settings", "trees"}
     assert set(document["machine"]) == MACHINE

@@ -285,20 +285,6 @@ class TestSimulateCommand:
         assert header.startswith("# seed=")
         assert int(header.split("=", 1)[1]) >= 0
 
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        scen = write_scenarios(
-            tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2", "0.8,0.7,0.05,0.08,0.1"]
-        )
-        outputs = []
-        for threads, name in ((1, "a.csv"), (4, "b.csv")):
-            out = tmp_path / name
-            assert main(
-                ["simulate", scen, "--iterations", "100", "--seed", "9",
-                 "--threads", str(threads), "--output", str(out)]
-            ) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_precision_flag(self, tmp_path, capsys):
         scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
         assert main(
@@ -717,7 +703,7 @@ EXPECTED_FAILURES = [
     pytest.param(
         ["estimate", "--n1", str(13 * 10**153), "--n2", str(13 * 10**153),
          "--m", str(10**152), "--rematch", "one_plus.csv", "--json"],
-        "error: OverflowError: corrected_variance = inf is beyond the float range\n",
+        "error: OverflowError: naive_variance_estimate = inf is beyond the float range\n",
         id="estimate-variance-overflow",
     ),
     # the estimate is about 9.9e200, but n1plus * nplus1 is not a float

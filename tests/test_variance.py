@@ -8,7 +8,10 @@ from dse_link import (
     ContingencyCounts,
     EstimateBelowMargin,
     NuEstimate,
+    RematchSample,
+    ht_nu,
     multinomial_moments,
+    naive_corrected,
     naive_variance_approx,
     naive_variance_estimate,
 )
@@ -189,6 +192,14 @@ class TestNaiveVarianceEstimate:
         # the plug-in p1plus would be 0, outside (0, 1)
         with pytest.raises(ValueError):
             naive_variance_estimate(5.0, ContingencyCounts(0, 3, 0), NuEstimate(0.0, 0.0))
+
+    def test_variance_beyond_float_range_raises(self):
+        # a finite corrected estimate whose plug-in variance is not
+        counts = ContingencyCounts(13 * 10**153, 13 * 10**153, 10**152)
+        nu = ht_nu(RematchSample([1] + [0] * 89, n1plus=counts.n1plus))
+        corrected = naive_corrected(counts, nu.nu_hat).n_hat
+        with pytest.raises(OverflowError, match="naive_variance_estimate = inf is beyond"):
+            naive_variance_estimate(corrected, counts, nu)
 
 
 def test_all_variances_nonnegative():
