@@ -216,17 +216,22 @@ def parse_results_csv(text: str) -> tuple[int | None, list[dict]]:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Replace ``path`` by way of a uniquely named temp file beside it, so
-    readers never see a partial table. The temp file is removed on any
-    failure, and an OSError names ``path``. Exclusive creation, unlike
-    ``tempfile.mkstemp``, keeps the default umask-based permissions."""
-    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    """Replace the file that ``path`` resolves to by way of a uniquely named
+    temp file beside it, so readers never see a partial table; an existing
+    target that is not a regular file (a FIFO, a device) is written directly.
+    The temp file is removed on any failure, and an OSError names ``path``.
+    Exclusive creation, unlike ``tempfile.mkstemp``, keeps the default
+    umask-based permissions."""
+    target = os.path.realpath(path)
+    direct = os.path.exists(target) and not os.path.isfile(target)
+    tmp = target if direct else f"{target}.{os.urandom(8).hex()}.tmp"
     pending = False
     try:
-        with open(tmp, "x", newline="\n", encoding="utf-8") as handle:
-            pending = True
+        with open(tmp, "w" if direct else "x", newline="\n", encoding="utf-8") as handle:
+            pending = not direct
             handle.write(text)
-        os.replace(tmp, path)
+        if not direct:
+            os.replace(tmp, target)
         pending = False
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
@@ -296,7 +301,7 @@ def cmd_simulate(args) -> int:
         text = render_csv(rows, seed, precision=args.precision)
     else:
         text = render_markdown(rows, seed)
-    if args.output:
+    if args.output is not None:
         _atomic_write(args.output, text)
     else:
         sys.stdout.write(text)

@@ -49,7 +49,9 @@ def integer_count(name: str, value) -> int:
 
 class _Value:
     """Base of the immutable value types. A subclass names its fields, in
-    order, in ``__slots__`` and sets them in ``__init__`` with ``_assign``.
+    order, in ``__slots__``; the constructor takes them by position or by
+    name. A subclass that checks, converts or derives a field stores the
+    fields in its own ``__init__`` with ``_assign``.
 
     Values of one type with equal fields are equal and hash alike; a value
     of another type never equals one. Fields cannot be assigned or deleted.
@@ -58,6 +60,13 @@ class _Value:
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        values += tuple(named.pop(name) for name in fields[len(values):] if name in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(fields)}")
+        self._assign(*values)
 
     def _assign(self, *values):
         for name, value in zip(self.__slots__, values):
@@ -154,9 +163,6 @@ class EstimateReport(_Value):
     """A point estimate of population size."""
 
     __slots__ = ("n_hat",)
-
-    def __init__(self, n_hat: float):
-        self._assign(n_hat)
 
 
 def _finite(name: str, value: float) -> float:

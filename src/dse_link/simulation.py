@@ -143,9 +143,6 @@ class EstimatorStats(_Value):
 
     __slots__ = ("mean", "erb_pct", "erse_pct")
 
-    def __init__(self, mean: float | None, erb_pct: float | None, erse_pct: float | None):
-        self._assign(mean, erb_pct, erse_pct)
-
 
 class SimulationSummary(_Value):
     """One scenario's aggregated results.
@@ -160,16 +157,6 @@ class SimulationSummary(_Value):
         "config", "dse", "uncorrected", "corrected", "arse_pct", "arse_root_mean_var_pct",
         "iterations_completed", "exclusions",
     )
-
-    def __init__(
-        self, config: ScenarioConfig, dse: EstimatorStats, uncorrected: EstimatorStats,
-        corrected: EstimatorStats, arse_pct: float | None, arse_root_mean_var_pct: float | None,
-        iterations_completed: int, exclusions: int,
-    ):
-        self._assign(
-            config, dse, uncorrected, corrected, arse_pct, arse_root_mean_var_pct,
-            iterations_completed, exclusions,
-        )
 
 
 def generate_population(config: ScenarioConfig, rng: np.random.Generator) -> TrueLinkageState:

@@ -35,14 +35,6 @@ class MultinomialMoments(_Value):
         "cov_n1plus_nplus1", "cov_n1plus_n11", "cov_nplus1_n11",
     )
 
-    def __init__(
-        self, var_n1plus: float, var_nplus1: float, var_n11: float,
-        cov_n1plus_nplus1: float, cov_n1plus_n11: float, cov_nplus1_n11: float,
-    ):
-        self._assign(
-            var_n1plus, var_nplus1, var_n11, cov_n1plus_nplus1, cov_n1plus_n11, cov_nplus1_n11
-        )
-
 
 def multinomial_moments(N: float, capture: CaptureProbabilities) -> MultinomialMoments:
     """Variances and covariances of (n1plus, nplus1, n11).

@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 from pathlib import Path
 
-from dse_link.cli import SCENARIO_COLUMNS as KEY_COLUMNS, bundled_scenario_path, load_scenario_file
+from dse_link.cli import SCENARIO_COLUMNS as KEY_COLUMNS, _atomic_write, bundled_scenario_path
+from dse_link.cli import load_scenario_file
 from dse_link.simulation import _accumulate
 
 PATH = Path(__file__).resolve().parent / "data" / "table1_reference.csv"
@@ -84,14 +86,16 @@ def main(argv=None) -> None:
     parser.add_argument("--output", type=Path, default=PATH)
     args = parser.parse_args(argv)
     configs = load_scenario_file(bundled_scenario_path(), ITERATIONS, SEED, POPULATION)
-    with open(args.output, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(COLUMNS)
-        for config in configs:
-            row = reference_row(config)
-            keys = (config.p1plus, config.pplus1, config.fnr, config.fpr, config.f)
-            writer.writerow([*keys, SEED, ITERATIONS, *(f"{row[c]:.12g}" for c in VALUE_COLUMNS)])
-            print(*keys, flush=True)
+    # the file is replaced only once every row is done
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for config in configs:
+        row = reference_row(config)
+        keys = (config.p1plus, config.pplus1, config.fnr, config.fpr, config.f)
+        writer.writerow([*keys, SEED, ITERATIONS, *(f"{row[c]:.12g}" for c in VALUE_COLUMNS)])
+        print(*keys, flush=True)
+    _atomic_write(str(args.output), text.getvalue())
 
 
 if __name__ == "__main__":

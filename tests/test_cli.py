@@ -3,6 +3,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import textwrap
@@ -355,6 +356,55 @@ class TestSimulateCommand:
         assert sorted(tmp_path.iterdir()) == before
         assert list(out.iterdir()) == []
 
+    @staticmethod
+    def table_and_argv(tmp_path, capsys):
+        """The table that a small run prints, and the run's argv without ``--output``."""
+        scen = write_scenarios(tmp_path / "s.csv", ["0.9,0.8,0.02,0.05,0.2"])
+        argv = ["simulate", scen, "--iterations", "5", "--seed", "1"]
+        assert main(argv) == 0
+        return capsys.readouterr().out, argv
+
+    def test_output_symlink_is_written_through(self, tmp_path, capsys):
+        table, argv = self.table_and_argv(tmp_path, capsys)
+        (tmp_path / "links").mkdir()
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "results.csv"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "links" / "results.csv"
+        link.symlink_to(target)
+        assert main(argv + ["--output", str(link)]) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_text(encoding="utf-8") == table
+        assert list((tmp_path / "links").iterdir()) == [link]
+        assert list((tmp_path / "data").iterdir()) == [target]
+
+    def test_output_dangling_symlink_creates_its_target(self, tmp_path, capsys):
+        table, argv = self.table_and_argv(tmp_path, capsys)
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "results.csv"
+        link = tmp_path / "results.csv"
+        link.symlink_to(target)
+        assert main(argv + ["--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8") == table
+        assert list((tmp_path / "data").iterdir()) == [target]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_output_fifo_is_written_directly(self, tmp_path, capsys):
+        table, argv = self.table_and_argv(tmp_path, capsys)
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a non-blocking reader: a program that replaces the FIFO leaves it
+        # reading 0 bytes instead of hanging
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(argv + ["--output", str(fifo)]) == 0
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert received.decode("utf-8") == table
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
 
 GOLDEN_HEADER = (
     "p1,p2,fnr,fpr,f,erb_dse,erb_uncorrected,erb_corrected,erse_dse,"
@@ -604,6 +654,11 @@ EXPECTED_FAILURES = [
         "error: FileNotFoundError: [Errno 2] No such file or directory: "
         "'missing_dir/out.csv'\n",
         id="unwritable-output",
+    ),
+    pytest.param(
+        SIMULATE_ARGS[:-1] + ["", "scen.csv"],
+        "error: IsADirectoryError: [Errno 21] Is a directory: ''\n",
+        id="empty-output-path",
     ),
     pytest.param(
         PLAN_ARGS + ["0.004"],

@@ -109,3 +109,26 @@ def test_value_type_contract(cls, kwargs, computed):
             )
         else:
             assert copied == value
+
+
+FIELD_ORDER_TYPES = (
+    dse_link.EstimateReport, dse_link.MultinomialMoments,
+    dse_link.EstimatorStats, dse_link.SimulationSummary,
+)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs", [case[:2] for case in VALUE_TYPES if case[0] in FIELD_ORDER_TYPES],
+    ids=[cls.__name__ for cls, _, _ in VALUE_TYPES if cls in FIELD_ORDER_TYPES],
+)
+def test_field_order_constructor_refuses_other_sets(cls, kwargs):
+    values = list(kwargs.values())
+    refused = [
+        ((), dict(list(kwargs.items())[1:])),  # a missing field
+        ((*values, 0), {}),  # an extra positional value
+        ((), {**kwargs, "unknown": 0}),  # an unknown name
+        ((values[0],), kwargs),  # a field given twice
+    ]
+    for args, named in refused:
+        with pytest.raises(TypeError):
+            cls(*args, **named)

@@ -123,6 +123,25 @@ def test_reference_generator_writes_the_grid(tmp_path, monkeypatch):
     assert all(math.isfinite(float(value)) for row in rows for value in row)
 
 
+def test_interrupted_generator_keeps_the_old_reference(tmp_path, monkeypatch):
+    path = tmp_path / "reference.csv"
+    path.write_bytes(b"old reference\n")
+    monkeypatch.setattr(make_reference, "ITERATIONS", 50)
+    done = []
+
+    def third_row_fails(config):
+        if len(done) == 2:
+            raise KeyboardInterrupt
+        done.append(config)
+        return reference_row(config)
+
+    monkeypatch.setattr(make_reference, "reference_row", third_row_fails)
+    with pytest.raises(KeyboardInterrupt):
+        main(["--output", str(path)])
+    assert path.read_bytes() == b"old reference\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_grid_matches_reference_in_mcse_units():
     z = grid_z_scores()
     assert len(z) == COMPARISONS
